@@ -24,7 +24,7 @@
 namespace mdc {
 namespace {
 
-// 5-QI census: age/zip/education/marital/occupation — 810-node lattice.
+// 5-QI census: age/zip/education/marital/occupation — 972-node lattice.
 CensusData MakeCensus(size_t rows) {
   CensusConfig config;
   config.rows = rows;

@@ -7,8 +7,20 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "table/gather_kernels.h"
+#include "utility/loss_metric.h"
 
 namespace mdc {
+namespace {
+
+// Thread-local scratch for Evaluate() and Score(): each runs once per
+// lattice node (hundreds to thousands of times per search, often from pool
+// workers), and the gathered label columns are dead once the node's
+// partition and utility are built. Reusing the buffers keeps the hot loop
+// allocation-free after the first node each thread touches.
+thread_local std::vector<std::vector<uint32_t>> tls_label_cols;
+thread_local std::vector<uint32_t> tls_cards;
+
+}  // namespace
 
 StatusOr<std::shared_ptr<const EncodedBundle>> BuildEncodedBundle(
     const Dataset& original, const HierarchySet& hierarchies) {
@@ -97,13 +109,8 @@ StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
   MDC_METRIC_INC("eval.nodes");
 
   const size_t rows = bundle_->view.row_count();
-  // Thread-local scratch: Evaluate runs once per lattice node (hundreds
-  // to thousands of times per search, often from pool workers), and the
-  // gathered label columns are dead once the partitions are built.
-  // Reusing the buffers keeps the hot loop allocation-free after the
-  // first node each thread touches.
-  static thread_local std::vector<std::vector<uint32_t>> label_cols;
-  static thread_local std::vector<uint32_t> cards;
+  std::vector<std::vector<uint32_t>>& label_cols = tls_label_cols;
+  std::vector<uint32_t>& cards = tls_cards;
   GatherLabelCodes(node, label_cols, cards);
 
   Evaluation evaluation;
@@ -184,21 +191,20 @@ StatusOr<NodeEvaluation> EncodedNodeEvaluator::Materialize(
   return out;
 }
 
-StatusOr<EncodedNodeEvaluator::Candidate>
-EncodedNodeEvaluator::MaterializeUnsuppressed(const LatticeNode& node,
-                                              std::string algorithm) const {
+StatusOr<EncodedNodeEvaluator::Scored> EncodedNodeEvaluator::Score(
+    const LatticeNode& node) const {
   MDC_RETURN_IF_ERROR(ValidateNode(node));
   const size_t rows = bundle_->view.row_count();
-  std::vector<std::vector<uint32_t>> label_cols;
-  std::vector<uint32_t> cards;
+  std::vector<std::vector<uint32_t>>& label_cols = tls_label_cols;
+  std::vector<uint32_t>& cards = tls_cards;
   GatherLabelCodes(node, label_cols, cards);
-  Evaluation raw;
-  raw.partition = EquivalencePartition::FromCodeColumns(rows, label_cols,
-                                                        cards);
-  MDC_ASSIGN_OR_RETURN(NodeEvaluation materialized,
-                       Materialize(node, raw, std::move(algorithm)));
-  return Candidate{std::move(materialized.anonymization),
-                   std::move(materialized.partition)};
+  Scored scored;
+  scored.partition =
+      EquivalencePartition::FromCodeColumns(rows, label_cols, cards);
+  MDC_ASSIGN_OR_RETURN(
+      scored.lm_utility,
+      LossMetric::PerTupleUtility(bundle_->codec, node, label_cols, rows));
+  return scored;
 }
 
 std::vector<std::optional<StatusOr<EncodedNodeEvaluator::Evaluation>>>

@@ -16,7 +16,9 @@
 // validation, suppression policy, feasibility — without materializing the
 // released table. Materialize() builds the full NodeEvaluation (release
 // labels, suppressed rows starred) when a caller actually needs it, which
-// the searches only do for the few feasible nodes they score.
+// the searches only do for the few feasible nodes they score. Score()
+// gives the Pareto sweep a node's partition and per-tuple LM utility
+// straight from the label codes.
 //
 // One intentional divergence: values that a hierarchy cannot generalize
 // surface as an error from Build() (all levels are translated up front)
@@ -38,6 +40,7 @@
 
 #include "anonymize/full_domain.h"
 #include "common/thread_pool.h"
+#include "core/property_vector.h"
 #include "hierarchy/level_codec.h"
 #include "table/encoded_view.h"
 
@@ -77,10 +80,10 @@ class EncodedNodeEvaluator {
     bool feasible = false;
   };
 
-  // An unsuppressed release and its partition (the Pareto search's inputs).
-  struct Candidate {
-    Anonymization anonymization;
+  // What the Pareto sweep scores a node by, computed without a release.
+  struct Scored {
     EquivalencePartition partition;
+    PropertyVector lm_utility;  // LossMetric::PerTupleUtility, code space.
   };
 
   // Encodes the QI columns and builds every (position, level) code table.
@@ -105,9 +108,12 @@ class EncodedNodeEvaluator {
                                        const Evaluation& evaluation,
                                        std::string algorithm) const;
 
-  // Release + raw partition with no suppression policy applied.
-  StatusOr<Candidate> MaterializeUnsuppressed(const LatticeNode& node,
-                                              std::string algorithm) const;
+  // Raw (unsuppressed) partition and per-tuple LM utility of `node`'s
+  // release, both from one label-code gather; no release is built and no
+  // label decoded. The utility equals LossMetric::PerTupleUtility of the
+  // materialized release bit for bit. Thread-safe; charges no budget and
+  // counts no node evaluation.
+  StatusOr<Scored> Score(const LatticeNode& node) const;
 
   const EncodedView& view() const { return bundle_->view; }
   const LevelCodec& codec() const { return bundle_->codec; }

@@ -9,28 +9,26 @@
 #include "common/trace.h"
 #include "core/pareto.h"
 #include "core/properties.h"
-#include "utility/loss_metric.h"
 
 namespace mdc {
 namespace {
 
 constexpr uint32_t kParetoPayloadVersion = 1;
 
-// Evaluates one lattice node into a Pareto candidate: unsuppressed release,
-// class-size vector, per-tuple LM utility. Pure function of the node —
+// Evaluates one lattice node into a Pareto candidate: class-size vector and
+// per-tuple LM utility of the unsuppressed release, both from one label-code
+// gather (the release itself is never built). Pure function of the node —
 // safe to run concurrently.
 StatusOr<ParetoCandidate> BuildCandidate(const EncodedNodeEvaluator& evaluator,
                                          const LatticeNode& node) {
-  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator::Candidate release,
-                       evaluator.MaterializeUnsuppressed(node, "pareto"));
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator::Scored scored,
+                       evaluator.Score(node));
   ParetoCandidate candidate;
   candidate.node = node;
-  PropertyVector sizes = EquivalenceClassSizeVector(release.partition);
-  MDC_ASSIGN_OR_RETURN(PropertyVector utility,
-                       LossMetric::PerTupleUtility(release.anonymization));
+  PropertyVector sizes = EquivalenceClassSizeVector(scored.partition);
   candidate.min_class_size = sizes.Min();
-  candidate.total_utility = utility.Sum();
-  candidate.properties = {std::move(sizes), std::move(utility)};
+  candidate.total_utility = scored.lm_utility.Sum();
+  candidate.properties = {std::move(sizes), std::move(scored.lm_utility)};
   return candidate;
 }
 

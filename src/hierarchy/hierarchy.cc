@@ -1,5 +1,6 @@
 #include "hierarchy/hierarchy.h"
 
+#include <algorithm>
 #include <map>
 
 namespace mdc {
@@ -53,6 +54,28 @@ Status VerifyNesting(const ValueHierarchy& hierarchy,
     }
   }
   return Status::Ok();
+}
+
+std::unordered_map<std::string, size_t> CountLabelCoverage(
+    const ValueHierarchy& hierarchy, const std::vector<Value>& values) {
+  std::unordered_map<std::string, size_t> coverage;
+  std::vector<std::string> chain;
+  for (const Value& value : values) {
+    chain.clear();
+    bool in_domain = true;
+    for (int level = 0; level <= hierarchy.height() && in_domain; ++level) {
+      StatusOr<std::string> label = hierarchy.Generalize(value, level);
+      if (!label.ok()) {
+        in_domain = false;
+      } else if (std::find(chain.begin(), chain.end(), *label) ==
+                 chain.end()) {
+        chain.push_back(std::move(label).value());
+      }
+    }
+    if (!in_domain) continue;
+    for (std::string& label : chain) ++coverage[std::move(label)];
+  }
+  return coverage;
 }
 
 }  // namespace mdc

@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -55,6 +56,19 @@ class ValueHierarchy {
 // that Covers(Generalize(v, l), v) holds.
 Status VerifyNesting(const ValueHierarchy& hierarchy,
                      const std::vector<Value>& values);
+
+// Label coverage over a set of distinct values, counted once: maps every
+// label on some value's generalization chain Generalize(v, 0..height())
+// to the number of values whose chain carries it (each value counted once
+// per label, however many levels repeat the label). For the labels a
+// nesting hierarchy produces, this equals the number of values v with
+// Covers(label, v) — the chain of v is exactly the set of labels covering
+// it. That includes unbalanced taxonomies, where a shallow leaf reaches the
+// root below height() and no single level lists every label covering it.
+// A value that fails to generalize is outside the domain and, as with
+// Covers, covered by no label. Labels absent from the map cover nothing.
+std::unordered_map<std::string, size_t> CountLabelCoverage(
+    const ValueHierarchy& hierarchy, const std::vector<Value>& values);
 
 }  // namespace mdc
 

@@ -1,6 +1,7 @@
 #include "hierarchy/level_codec.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "hierarchy/hierarchy.h"
 
@@ -56,6 +57,19 @@ StatusOr<LevelCodec> LevelCodec::Build(const EncodedView& view,
           BuildTable(hierarchy, view.distinct_values(pos), level));
       codec.tables_[pos].push_back(std::move(table));
     }
+    // After every level built, so an out-of-domain value surfaces as the
+    // Generalize error above.
+    const std::unordered_map<std::string, size_t> coverage =
+        CountLabelCoverage(hierarchy, view.distinct_values(pos));
+    for (LevelCodeTable& table : codec.tables_[pos]) {
+      table.label_coverage.assign(table.labels.size(), 0);
+      for (size_t code = 0; code < table.labels.size(); ++code) {
+        auto it = coverage.find(table.labels[code]);
+        if (it != coverage.end()) {
+          table.label_coverage[code] = static_cast<uint32_t>(it->second);
+        }
+      }
+    }
   }
   return codec;
 }
@@ -71,7 +85,8 @@ uint64_t LevelCodec::TableBytes() const {
   uint64_t bytes = 0;
   for (const auto& levels : tables_) {
     for (const LevelCodeTable& table : levels) {
-      bytes += table.value_to_label.size() * sizeof(uint32_t);
+      bytes += (table.value_to_label.size() + table.label_coverage.size()) *
+               sizeof(uint32_t);
       for (const std::string& label : table.labels) bytes += label.size();
     }
   }

@@ -10,9 +10,10 @@
 // leaving integer space.
 //
 // Building a table costs O(distinct values) hierarchy lookups; applying it
-// is an O(rows) gather. A LevelCodec holds the tables for every
-// (position, level) of a HierarchySet, which is all a full-domain lattice
-// search ever needs.
+// is an O(rows) gather. Label coverage is counted once per position and
+// stored per label code, so a loss metric never re-derives it per node. A
+// LevelCodec holds the tables for every (position, level) of a
+// HierarchySet, which is all a full-domain lattice search ever needs.
 
 #ifndef MDC_HIERARCHY_LEVEL_CODEC_H_
 #define MDC_HIERARCHY_LEVEL_CODEC_H_
@@ -30,6 +31,12 @@ namespace mdc {
 struct LevelCodeTable {
   // value_to_label[value_code] -> label code at this level.
   std::vector<uint32_t> value_to_label;
+  // label_coverage[label_code] -> how many of the position's distinct
+  // values the label covers (CountLabelCoverage over every level, so a
+  // label repeated up an unbalanced taxonomy counts all its leaves). The
+  // input of the code-space LM charge; 0 only for a "*" the hierarchy
+  // never produces.
+  std::vector<uint32_t> label_coverage;
   // labels[label_code] -> label string; sorted, so code order == string
   // order. Always contains kSuppressedLabel ("*").
   std::vector<std::string> labels;

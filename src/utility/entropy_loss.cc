@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "hierarchy/hierarchy.h"
+
 namespace mdc {
 
 StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
@@ -29,21 +31,21 @@ StatusOr<PropertyVector> EntropyLoss::PerTupleLoss(
     if (total <= 1.0) continue;  // A constant column loses nothing.
     const double denom = std::log2(total);
 
+    const std::unordered_map<std::string, size_t> coverage =
+        CountLabelCoverage(*hierarchy, distinct);
     std::unordered_map<std::string, double> label_charge;
     for (size_t r = 0; r < rows; ++r) {
       const std::string& label =
           anonymization.release.cell(r, column).AsString();
       auto it = label_charge.find(label);
       if (it == label_charge.end()) {
-        size_t covered = 0;
-        for (const Value& v : distinct) {
-          if (hierarchy->Covers(label, v)) ++covered;
-        }
-        if (covered == 0) {
+        auto covered = coverage.find(label);
+        if (covered == coverage.end()) {
           return Status::Internal("label '" + label +
                                   "' covers no present value");
         }
-        double charge = std::log2(static_cast<double>(covered)) / denom;
+        double charge =
+            std::log2(static_cast<double>(covered->second)) / denom;
         it = label_charge.emplace(label, charge).first;
       }
       loss[r] += it->second / static_cast<double>(qi);

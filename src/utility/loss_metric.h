@@ -12,6 +12,15 @@
 // printed utility numbers; present-value semantics reproduces the
 // *structure* its argument needs (see DESIGN.md, substitution 1).
 //
+// Coverage m is counted once per QI column, not once per label: a label
+// covers a present value v exactly when it lies on v's generalization
+// chain Generalize(v, 0..height()) (CountLabelCoverage), which for a
+// nesting hierarchy is the set of labels with Covers(label, v). The string
+// path counts it per column of the release; the code-space overload reads
+// the same counts from the LevelCodec tables. Both use one charge formula
+// and one summation order, so they agree bit for bit. LabelLoss keeps the
+// direct Covers test over every present value as their test oracle.
+//
 // The NCP variant needs no hierarchies: it charges a class the normalized
 // spread of the original values inside it (numeric: range ratio;
 // categorical: distinct-count ratio), so it applies to Mondrian releases.
@@ -19,9 +28,14 @@
 #ifndef MDC_UTILITY_LOSS_METRIC_H_
 #define MDC_UTILITY_LOSS_METRIC_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "anonymize/equivalence.h"
 #include "anonymize/generalizer.h"
 #include "core/property_vector.h"
+#include "hierarchy/lattice.h"
+#include "hierarchy/level_codec.h"
 
 namespace mdc {
 
@@ -36,12 +50,22 @@ class LossMetric {
   static StatusOr<PropertyVector> PerTupleUtility(
       const Anonymization& anonymization);
 
+  // PerTupleUtility in code space, for the release of lattice `node` held
+  // as label codes: label_codes[pos][r] indexes codec.table(pos,
+  // node[pos]).labels, positions in qi_columns order. Bit-identical to
+  // PerTupleUtility on the materialized release (same status too, for a
+  // row whose label covers nothing). Safe to call concurrently.
+  static StatusOr<PropertyVector> PerTupleUtility(
+      const LevelCodec& codec, const LatticeNode& node,
+      const std::vector<std::vector<uint32_t>>& label_codes, size_t rows);
+
   // Sum of per-tuple losses.
   static StatusOr<double> TotalLoss(const Anonymization& anonymization);
 
   // LM charge of a single label for `column` of the original data set:
-  // (covered-1)/(M-1) over distinct present values. Exposed for tests and
-  // for the entropy-loss metric which shares the coverage machinery.
+  // (covered-1)/(M-1) over distinct present values, with `covered` found by
+  // testing Covers(label, v) on every present value. The reference the
+  // counted-coverage paths are checked against; not used in production.
   static StatusOr<double> LabelLoss(const Anonymization& anonymization,
                                     size_t column, const std::string& label);
 };

@@ -118,9 +118,10 @@ TEST(EncodedEvalOracleTest, MatchesLegacyEvaluateNodeEverywhere) {
   }
 }
 
-// MaterializeUnsuppressed must equal the raw Generalizer::Apply release
-// and its partition (the Pareto search's inputs).
-TEST(EncodedEvalOracleTest, MaterializeUnsuppressedMatchesApply) {
+// With nothing suppressed (k = 1), Evaluate + Materialize must equal the
+// raw Generalizer::Apply release and its partition, and Score() that same
+// partition (the Pareto search's input).
+TEST(EncodedEvalOracleTest, UnsuppressedMaterializeMatchesApply) {
   for (const Workload& workload : Workloads()) {
     SCOPED_TRACE(workload.name);
     auto lattice = Lattice::ForHierarchies(workload.hierarchies);
@@ -136,11 +137,18 @@ TEST(EncodedEvalOracleTest, MaterializeUnsuppressedMatchesApply) {
       EquivalencePartition legacy =
           EquivalencePartition::FromAnonymization(*applied);
 
-      auto candidate = evaluator->MaterializeUnsuppressed(node, "test");
-      ASSERT_TRUE(candidate.ok()) << candidate.status().ToString();
+      auto evaluation = evaluator->Evaluate(node, 1, SuppressionBudget{});
+      ASSERT_TRUE(evaluation.ok()) << evaluation.status().ToString();
+      ASSERT_EQ(evaluation->suppressed_count, 0u);
+      auto materialized = evaluator->Materialize(node, *evaluation, "test");
+      ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
       EXPECT_EQ(applied->release.ToCsv(),
-                candidate->anonymization.release.ToCsv());
-      ExpectSamePartition(legacy, candidate->partition);
+                materialized->anonymization.release.ToCsv());
+      ExpectSamePartition(legacy, materialized->partition);
+
+      auto scored = evaluator->Score(node);
+      ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+      ExpectSamePartition(legacy, scored->partition);
     }
   }
 }
