@@ -7,9 +7,13 @@
 //      distances) at the same sizes, serial vs threaded across columns;
 //   3. a determinism benchmark asserting the released table and the
 //      perturb.*/perm.* counters stay byte-identical across thread
-//      counts (the bench aborts loudly if the wave contract regresses).
-// items_processed counts released cells, so items_per_second is cell
-// throughput.
+//      counts (the bench aborts loudly if the wave contract regresses);
+//   4. the rank-order kernel every mechanism and model build sorts with
+//      (StableValueOrder) on one column at N ∈ {2e3, 2e5, 1e6}.
+// items_processed counts released cells (sorted rows for 4), so
+// items_per_second is cell throughput. Rows whose thread argument is not
+// 1 run on a pool, where the calling thread's CPU clock misses the
+// workers' time, so they are timed in wall clock (UseRealTime).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +24,7 @@
 #include "anonymize/perturb/perturb.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/value_order.h"
 #include "core/permutation_metrics.h"
 #include "table/dataset.h"
 #include "table/schema.h"
@@ -87,19 +92,28 @@ BENCHMARK(BM_Perturb_Noise)
     ->Args({10000, 4, 1})
     ->Args({100000, 4, 1})
     ->Args({1000000, 4, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Perturb_Noise)
     ->Args({1000000, 4, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Perturb_RankSwap)
     ->Args({10000, 4, 1})
     ->Args({100000, 4, 1})
     ->Args({1000000, 4, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Perturb_RankSwap)
     ->Args({1000000, 4, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Perturb_Microagg)
     ->Args({10000, 4, 1})
     ->Args({100000, 4, 1})
     ->Args({1000000, 4, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Perturb_Microagg)
     ->Args({1000000, 4, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Permutation-model extraction over the released table: rank both sides,
@@ -128,10 +142,34 @@ BENCHMARK(BM_PermutationModel)
     ->Args({10000, 4, 1})
     ->Args({100000, 4, 1})
     ->Args({1000000, 4, 1})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PermutationModel)
     ->Args({100000, 4, 2})
     ->Args({100000, 4, 4})
     ->Args({100000, 4, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The rank-order kernel alone on one column of the MakeData distribution
+// (2e3 is the size of the service's census jobs, 2e5 the perfbench `rank`
+// table).
+void BM_StableValueOrder(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  auto data = MakeData(rows, 1, /*seed=*/45);
+  std::vector<double> values(rows);
+  for (size_t r = 0; r < rows; ++r) values[r] = data->cell(r, 0).AsNumber();
+  for (auto _ : state) {
+    std::vector<uint32_t> order = StableValueOrder(values);
+    benchmark::DoNotOptimize(order.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_StableValueOrder)
+    ->Arg(2000)
+    ->Arg(200000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
 
 // Determinism assertions as a benchmark: every iteration re-perturbs and
 // re-models at `threads` and requires byte-identical release CSV and

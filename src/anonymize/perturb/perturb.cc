@@ -215,6 +215,19 @@ StatusOr<PerturbResult> PerturbAnonymize(
     return Status::InvalidArgument(
         "perturbation needs at least one numeric quasi-identifier column");
   }
+  // Every mechanism orders or averages the column, so a NaN or ±inf cell
+  // (strtod parses both) is rejected before any of them runs.
+  std::vector<std::vector<double>> input =
+      original->GatherNumeric(columns).values;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    for (double v : input[c]) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument(
+            "perturbation: column '" + schema.attribute(columns[c]).name +
+            "' holds a non-finite value");
+      }
+    }
+  }
   const size_t rows = original->row_count();
   const uint64_t fingerprint = ConfigHash(config, rows, columns.size());
   RunContext::ChargeMemory(run, columns.size() * rows * sizeof(double));
@@ -255,11 +268,10 @@ StatusOr<PerturbResult> PerturbAnonymize(
     if (count == 0) break;
     pool.ParallelFor(count, [&](size_t s) {
       const size_t c = begin + s;
-      std::vector<double> values(rows);
-      for (size_t r = 0; r < rows; ++r) {
-        values[r] = original->cell(r, columns[c]).AsNumber();
-      }
-      released[c] = RunMechanism(config, values, c);
+      released[c] = RunMechanism(config, input[c], c);
+      // Free the input as its release lands, so the sweep holds about one
+      // buffer per column, not two.
+      input[c] = std::vector<double>();
     });
     // In-order commit: the deterministic perturb.* counters advance in
     // column order regardless of evaluation schedule.

@@ -122,16 +122,17 @@ std::vector<double> PerturbColumnNoise(const std::vector<double>& values,
                                        double scale, uint64_t seed);
 
 // Rank swapping with window w = max(1, floor(window · N)) rank positions.
-// Ranks are assigned by stable sort (ties broken by row index), each
-// not-yet-swapped rank picks a partner uniformly among the not-yet-swapped
-// ranks within w above it, and the two rows exchange values.
+// Ranks follow StableValueOrder (common/value_order.h: ascending, ties in
+// row-index order), each not-yet-swapped rank picks a partner uniformly
+// among the not-yet-swapped ranks within w above it, and the two rows
+// exchange values. `values` must hold no NaN.
 std::vector<double> PerturbColumnRankSwap(const std::vector<double>& values,
                                           double window, uint64_t seed);
 
 // MDAV-style univariate microaggregation with minimum group size k: while
 // >= 2k values remain, the extremes take their k-1 nearest neighbours as
 // groups; the (< 2k) remainder forms one group. Every value is replaced
-// by its group mean. Deterministic — no RNG.
+// by its group mean. Deterministic — no RNG. `values` must hold no NaN.
 std::vector<double> PerturbColumnMicroaggregate(
     const std::vector<double>& values, int k);
 

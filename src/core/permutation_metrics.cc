@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "common/text_table.h"
 #include "common/thread_pool.h"
+#include "common/value_order.h"
 
 namespace mdc {
 namespace {
@@ -22,6 +22,15 @@ Status ValidateFinite(const std::vector<double>& values,
   return Status::Ok();
 }
 
+// rank[order[r]] = r: the inverse of a StableValueOrder permutation.
+std::vector<uint32_t> RanksOf(const std::vector<uint32_t>& order) {
+  std::vector<uint32_t> ranks(order.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    ranks[order[r]] = static_cast<uint32_t>(r);
+  }
+  return ranks;
+}
+
 // Pure per-attribute model build — runs inside the wave, one slot per
 // attribute, no shared state.
 PermutationAttributeModel BuildAttributeModel(
@@ -29,15 +38,12 @@ PermutationAttributeModel BuildAttributeModel(
     const std::vector<double>& anonymized, const std::string& name) {
   PermutationAttributeModel model;
   model.name = name;
-  model.original_ranks = RankVector(original);
+  // The original column's order is row_of_rank_X; sigma matches release
+  // ranks against original ranks (the rank-linkage attack).
+  const std::vector<uint32_t> row_of_rank = StableValueOrder(original);
+  model.original_ranks = RanksOf(row_of_rank);
   model.anonymized_ranks = RankVector(anonymized);
   const size_t n = original.size();
-  // row_of_rank_X inverts the original ranks; sigma matches release ranks
-  // against original ranks (the rank-linkage attack).
-  std::vector<uint32_t> row_of_rank(n);
-  for (size_t i = 0; i < n; ++i) {
-    row_of_rank[model.original_ranks[i]] = static_cast<uint32_t>(i);
-  }
   model.permutation.resize(n);
   model.rank_distance.resize(n);
   model.max_distance = n > 1 ? static_cast<double>(n - 1) : 1.0;
@@ -56,15 +62,7 @@ PermutationAttributeModel BuildAttributeModel(
 }  // namespace
 
 std::vector<uint32_t> RankVector(const std::vector<double>& values) {
-  const size_t n = values.size();
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return values[a] < values[b];
-  });
-  std::vector<uint32_t> ranks(n);
-  for (size_t r = 0; r < n; ++r) ranks[order[r]] = static_cast<uint32_t>(r);
-  return ranks;
+  return RanksOf(StableValueOrder(values));
 }
 
 StatusOr<std::vector<uint32_t>> ImplicitPermutation(
@@ -210,28 +208,31 @@ StatusOr<PermutationModel> PermutationModelFor(
     const EquivalencePartition* partition,
     const PermutationMetricsOptions& options, RunContext* run) {
   const Schema& schema = anonymization.original->schema();
-  std::vector<std::vector<double>> original_columns;
-  std::vector<std::vector<double>> anonymized_columns;
+  std::vector<size_t> columns;
   std::vector<std::string> names;
   for (size_t qi : schema.QuasiIdentifierIndices()) {
     const AttributeType type = schema.attribute(qi).type;
     if (type != AttributeType::kInt && type != AttributeType::kReal) continue;
-    MDC_ASSIGN_OR_RETURN(std::vector<double> released,
-                         NumericReleaseColumn(anonymization, partition, qi));
-    std::vector<double> originals(anonymization.original->row_count());
-    for (size_t r = 0; r < originals.size(); ++r) {
-      originals[r] = anonymization.original->cell(r, qi).AsNumber();
-    }
-    original_columns.push_back(std::move(originals));
-    anonymized_columns.push_back(std::move(released));
+    columns.push_back(qi);
     names.push_back(schema.attribute(qi).name);
   }
-  if (original_columns.empty()) {
+  if (columns.empty()) {
     return Status::InvalidArgument(
         "permutation model needs at least one numeric quasi-identifier "
         "column");
   }
-  return BuildPermutationModel(original_columns, anonymized_columns, names,
+  const Dataset::NumericColumns original =
+      anonymization.original->GatherNumeric(columns);
+  Dataset::NumericColumns released =
+      anonymization.release.GatherNumeric(columns);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    // Generalized labels go through the reverse mapping.
+    if (!released.has_string[i]) continue;
+    MDC_ASSIGN_OR_RETURN(
+        released.values[i],
+        NumericReleaseColumn(anonymization, partition, columns[i]));
+  }
+  return BuildPermutationModel(original.values, released.values, names,
                                options, run);
 }
 

@@ -23,8 +23,10 @@
 // RunContext steps in attribute order), ranked wave-parallel into
 // per-attribute slots, and committed — results and `perm.*` counters — in
 // admission order, so outputs are byte-identical for any thread count.
-// Ranks break ties by row index (stable sort), so the model is a pure
-// function of the input columns.
+// Ranks come from StableValueOrder (common/value_order.h), the radix
+// rank-order kernel the perturbation mechanisms share: ascending by `<`,
+// ties broken by row index, so the model is a pure function of the input
+// columns.
 
 #ifndef MDC_CORE_PERMUTATION_METRICS_H_
 #define MDC_CORE_PERMUTATION_METRICS_H_
@@ -41,8 +43,9 @@
 
 namespace mdc {
 
-// rank[i] = position of row i in the stable ascending sort of `values`
-// (ties broken by row index). The result is a permutation of 0..N-1.
+// rank[i] = position of row i in StableValueOrder(values) (ascending,
+// ties broken by row index). The result is a permutation of 0..N-1.
+// `values` must hold no NaN.
 std::vector<uint32_t> RankVector(const std::vector<double>& values);
 
 // The implicit permutation sigma of the release: sigma[i] = j means the

@@ -55,6 +55,28 @@ std::vector<Value> Dataset::Column(size_t column) const {
   return values;
 }
 
+Dataset::NumericColumns Dataset::GatherNumeric(
+    const std::vector<size_t>& columns) const {
+  for (size_t column : columns) {
+    MDC_CHECK_LT(column, schema_.attribute_count());
+  }
+  NumericColumns out;
+  out.values.assign(columns.size(), std::vector<double>(rows_.size(), 0.0));
+  out.has_string.assign(columns.size(), false);
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    const Row& row = rows_[r];
+    for (size_t i = 0; i < columns.size(); ++i) {
+      const Value& cell = row[columns[i]];
+      if (cell.is_string()) {
+        out.has_string[i] = true;
+      } else {
+        out.values[i][r] = cell.AsNumber();
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<Value> Dataset::DistinctValues(size_t column) const {
   std::vector<Value> values = Column(column);
   std::sort(values.begin(), values.end());

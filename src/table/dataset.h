@@ -46,6 +46,17 @@ class Dataset {
   // All values of one column, in row order.
   std::vector<Value> Column(size_t column) const;
 
+  // The cells of several columns as doubles, read in one row-major sweep
+  // (each row is visited once, not once per column).
+  struct NumericColumns {
+    // values[i][r] = cell(r, columns[i]).AsNumber(); 0 for a string cell.
+    std::vector<std::vector<double>> values;
+    // has_string[i]: column i holds a string cell (a generalized label in
+    // a release), so values[i] is not the whole column.
+    std::vector<bool> has_string;
+  };
+  NumericColumns GatherNumeric(const std::vector<size_t>& columns) const;
+
   // Distinct values of one column, sorted.
   std::vector<Value> DistinctValues(size_t column) const;
 
