@@ -14,7 +14,6 @@
 #include "anonymize/top_down.h"
 #include "common/durable_io.h"
 #include "common/text_table.h"
-#include "core/batch_runner.h"
 #include "core/bias.h"
 #include "core/properties.h"
 #include "core/quality_index.h"
@@ -23,6 +22,7 @@
 #include "privacy/l_diversity.h"
 #include "privacy/t_closeness.h"
 #include "repro_util.h"
+#include "service/batch.h"
 #include "utility/avg_class_size.h"
 #include "utility/discernibility.h"
 #include "utility/loss_metric.h"
@@ -42,7 +42,7 @@ constexpr const char* kAlgorithms[] = {
     "top-down", "bottom-up", "mondrian"};
 
 // Runs one named algorithm at one k. Shared by the in-process comparison
-// sweep and the supervised batch export, so both produce the exact same
+// sweep and the supervised release export, so both produce the exact same
 // releases.
 StatusOr<NamedRelease> RunOne(const std::string& name,
                               const CensusData& census, int k,
@@ -129,53 +129,50 @@ std::vector<NamedRelease> RunAll(const CensusData& census, int k,
   return releases;
 }
 
-// Supervised artifact export: one batch job per (k, algorithm) re-runs the
-// algorithm and durably writes its release CSV into `dir`. The batch
-// checkpoint in the same directory makes the sweep resumable — a killed
-// export picks up at the first job without an artifact.
+// Supervised artifact export: one service job per (k, algorithm) re-runs
+// the algorithm and durably writes its release CSV to
+// `dir`/artifacts/<id>. The service journal in `dir` makes the sweep
+// resumable — a killed export re-runs only the jobs it had not finished.
 int ExportReleases(const CensusData& census, const std::string& dir) {
   if (Status status = EnsureWritableDir(dir); !status.ok()) {
     std::fprintf(stderr, "error: --checkpoint-dir %s: %s\n", dir.c_str(),
                  status.ToString().c_str());
     return 1;
   }
-  std::vector<BatchJob> jobs;
+  std::vector<service::JobSpec> jobs;
   for (int k : {2, 5, 10}) {
     for (const char* name : kAlgorithms) {
-      BatchJob job;
+      service::JobSpec job;
       job.id = "k" + std::to_string(k) + "_" + name;
       job.params["algorithm"] = name;
       job.params["k"] = std::to_string(k);
       jobs.push_back(std::move(job));
     }
   }
-  BatchRunnerConfig config;
-  config.checkpoint_path = dir + "/batch_checkpoint.bin";
-  auto result = RunBatch(
-      jobs,
-      [&census, &dir](const BatchJob& job, RunContext* run) -> Status {
-        auto k = ParseInt64(job.params.at("k"));
+  service::ServiceConfig config;
+  config.state_dir = dir;
+  auto result = service::RunJobsToCompletion(
+      jobs, config,
+      [&census](const service::ServiceCore::ExecRequest& request) {
+        service::ServiceCore::ExecResult out;
+        const auto& params = request.spec.params;
+        auto k = ParseInt64(params.at("k"));
         MDC_CHECK(k.has_value());
-        MDC_ASSIGN_OR_RETURN(
-            NamedRelease release,
-            RunOne(job.params.at("algorithm"), census,
-                   static_cast<int>(*k), run));
-        return DurableWriteFile(
-            dir + "/" + job.id + ".csv",
-            release.anonymization.release.ToCsv());
-      },
-      config);
+        auto release = RunOne(params.at("algorithm"), census,
+                              static_cast<int>(*k), request.run);
+        out.status = release.status();
+        if (release.ok()) {
+          out.artifact = release->anonymization.release.ToCsv();
+        }
+        return out;
+      });
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;
   }
   repro::Banner("Supervised release export to " + dir);
   std::printf("%s", result->Summary().c_str());
-  return result->CountState(JobState::kOk) +
-                     result->CountState(JobState::kTruncated) ==
-                 result->outcomes.size()
-             ? 0
-             : 1;
+  return result->ExitCode();
 }
 
 void ScalarTable(const std::vector<NamedRelease>& releases, int k,

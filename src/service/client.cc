@@ -16,7 +16,7 @@
 
 #include "common/durable_io.h"
 #include "common/metrics.h"
-#include "core/batch_runner.h"
+#include "service/backoff.h"
 
 namespace mdc::service {
 namespace {

@@ -12,9 +12,9 @@
 //    SIGKILL, or a typed transient transport rejection such as
 //    `overloaded_connections` / `draining` / a deadline reap) closes the
 //    connection and retries after a BackoffSequence delay — the same
-//    bounded decorrelated-jitter law the batch runner and service worker
-//    use, salted by the request line so concurrent clients do not
-//    thunder together. `line_too_long` is NOT retried: the same line
+//    bounded decorrelated-jitter law the service worker uses
+//    (service/backoff.h), salted by the request line so concurrent
+//    clients do not thunder together. `line_too_long` is NOT retried: the same line
 //    would be rejected again.
 //  - **Idempotent resubmission.** Submit() leans on the journal's
 //    duplicate_id semantics for an at-most-once guarantee: if the daemon

@@ -16,6 +16,33 @@ bool IsKnownKind(std::string_view kind) {
 
 }  // namespace
 
+std::string JobStateName(JobState state) {
+  switch (state) {
+    case JobState::kPending:
+      return "pending";
+    case JobState::kOk:
+      return "ok";
+    case JobState::kTruncated:
+      return "truncated";
+    case JobState::kQuarantined:
+      return "quarantined";
+    case JobState::kExhausted:
+      return "exhausted";
+  }
+  return "unknown";
+}
+
+bool IsTransientStatus(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kResourceExhausted:
+    case StatusCode::kInternal:
+      return true;
+    default:
+      return false;
+  }
+}
+
 bool IsValidToken(std::string_view text) {
   if (text.empty() || text.size() > 128) return false;
   for (char c : text) {

@@ -18,7 +18,6 @@
 #include <string_view>
 
 #include "common/status.h"
-#include "core/batch_runner.h"
 
 namespace mdc::service {
 
@@ -55,7 +54,30 @@ struct JobRecord {
 };
 StatusOr<JobRecord> DeserializeJobSpec(std::string_view bytes);
 
-// Terminal outcome record (reuses the batch runner's JobState taxonomy).
+enum class JobState : uint32_t {
+  kPending = 0,      // Not yet run (or interrupted before it finished).
+  kOk = 1,           // Executor returned OK with no budget expiry.
+  kTruncated = 2,    // Executor returned OK but degraded to best-so-far.
+  kQuarantined = 3,  // Deterministic failure; retrying cannot help.
+  kExhausted = 4,    // Transient failure persisted through every retry.
+};
+
+// Stable name for reports and records ("ok", "quarantined", ...).
+std::string JobStateName(JobState state);
+
+struct JobOutcome {
+  std::string id;
+  JobState state = JobState::kPending;
+  uint32_t attempts = 0;   // Executor invocations (1 = no retry needed).
+  std::string message;     // Last failure message; empty on success.
+};
+
+// A status worth retrying: budget expiry from an over-tight deadline or
+// step budget, and internal errors (I/O flakes). Everything else is
+// deterministic and quarantines the job.
+bool IsTransientStatus(const Status& status);
+
+// Terminal outcome record (the done file of a finished job).
 std::string SerializeOutcome(const JobOutcome& outcome);
 StatusOr<JobOutcome> DeserializeOutcome(std::string_view bytes);
 

@@ -12,6 +12,8 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/strings.h"
+#include "common/trace.h"
+#include "service/backoff.h"
 
 namespace mdc::service {
 namespace {
@@ -117,6 +119,9 @@ StatusOr<std::unique_ptr<ServiceCore>> ServiceCore::Start(
   }
   if (executor == nullptr) {
     return Status::InvalidArgument("service: executor must be set");
+  }
+  if (config.max_retries < 0) {
+    return Status::InvalidArgument("service: max_retries must be >= 0");
   }
   MDC_RETURN_IF_ERROR(EnsureWritableDir(config.state_dir));
   for (const char* sub : {"/jobs", "/done", "/ckpt", "/artifacts"}) {
@@ -229,7 +234,8 @@ StatusOr<AdmitDecision> ServiceCore::Submit(const JobSpec& spec) {
 void ServiceCore::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] {
-    return (queue_.queued() == 0 && running_id_.empty()) || stop_worker_;
+    return (queue_.queued() == 0 && running_id_.empty()) || stop_worker_ ||
+           (running_id_.empty() && drain_token_.cancelled());
   });
   // Client-visible barrier: the window resets here and only here (plus
   // start/drain), keeping shed decisions a pure function of arrival order.
@@ -244,10 +250,17 @@ bool ServiceCore::Idle() const {
 
 void ServiceCore::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock,
-                  [this] { return stop_worker_ || queue_.queued() > 0; });
-    if (stop_worker_) return;  // Drain: leave queued jobs journaled.
+  while (!stop_worker_) {  // Drain: leave queued jobs journaled.
+    // A cancelled drain token (a signal handler may cancel it before
+    // Drain() runs) halts dispatch at the job boundary: queued jobs stay
+    // journaled rather than each being started only to be interrupted.
+    // The token is read once here, under mu_, so a halted worker always
+    // wakes the WaitIdle callers that can now return.
+    if (queue_.queued() == 0 || drain_token_.cancelled()) {
+      idle_cv_.notify_all();
+      work_cv_.wait(lock);
+      continue;
+    }
     std::optional<JobSpec> job = queue_.Dequeue();
     if (!job.has_value()) continue;
     running_id_ = job->id;
@@ -255,15 +268,11 @@ void ServiceCore::WorkerLoop() {
     ExecuteJob(*job);
     lock.lock();
     running_id_.clear();
-    if (queue_.queued() == 0) {
-      lock.unlock();
-      idle_cv_.notify_all();
-      lock.lock();
-    }
   }
 }
 
 void ServiceCore::ExecuteJob(const JobSpec& spec) {
+  TRACE_SPAN("svc/job");
   // Resume bytes from a drain of a previous attempt or process life.
   std::string checkpoint;
   {
@@ -324,9 +333,9 @@ void ServiceCore::ExecuteJob(const JobSpec& spec) {
       // Fall through: the persist failure classifies like any attempt
       // failure (transient I/O retries, deterministic quarantines).
     } else if (IsInterruption(terminal)) {
-      // The job's own budget expired without a best-so-far result; treat
-      // like the batch runner: transient (the deadline was wall-clock)
-      // until retries exhaust.
+      // The job's own budget expired without a best-so-far result: treat
+      // it as transient (the deadline was wall-clock) until retries
+      // exhaust.
       if (!result.checkpoint.empty()) {
         (void)DurableWriteFile(CkptPath(spec.id), result.checkpoint);
         checkpoint = result.checkpoint;
@@ -422,6 +431,14 @@ ServiceStats ServiceCore::GetStats() const {
 std::vector<JobOutcome> ServiceCore::Outcomes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return outcomes_;
+}
+
+std::optional<JobOutcome> ServiceCore::KnownOutcome(
+    const std::string& id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = completed_.find(id);
+  if (it == completed_.end()) return std::nullopt;
+  return it->second;
 }
 
 size_t ServiceCore::recovered_jobs() const {

@@ -1,11 +1,12 @@
 // Resident, overload-resilient job-service core (`mdcd`).
 //
-// ServiceCore turns the batch machinery into a long-running service:
-// clients submit JobSpecs, a bounded multi-tenant admission queue decides
-// deterministically whether to accept or shed each one (see admission.h),
-// and a worker executes admitted jobs in deficit-round-robin order under a
-// fresh RunContext carrying the client's deadline/step budgets. Supervision
-// mirrors the batch runner: transient failures retry with bounded
+// ServiceCore is the one durable job runner: `mdc_cli serve` keeps it
+// resident, and `mdc_cli batch` runs a job CSV through it to completion
+// (service/batch.h). Clients submit JobSpecs, a bounded multi-tenant
+// admission queue decides deterministically whether to accept or shed each
+// one (see admission.h), and a worker executes admitted jobs in
+// deficit-round-robin order under a fresh RunContext carrying the client's
+// deadline/step budgets. Transient failures retry with bounded
 // decorrelated-jitter backoff, deterministic failures quarantine, and every
 // state transition that must survive a crash is durable:
 //
@@ -44,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -51,7 +53,6 @@
 
 #include "common/run_context.h"
 #include "common/status.h"
-#include "core/batch_runner.h"
 #include "service/admission.h"
 #include "service/dataset_cache.h"
 #include "service/job_spec.h"
@@ -61,7 +62,8 @@ namespace mdc::service {
 struct ServiceConfig {
   std::string state_dir;  // Created (one level) if missing.
   AdmissionConfig admission;
-  // Retry policy for transient failures, shared with the batch runner.
+  // Retry policy for transient failures (service/backoff.h); Start()
+  // rejects a negative max_retries.
   int max_retries = 2;
   int64_t backoff_base_ms = 10;
   int64_t backoff_max_ms = 1000;
@@ -142,8 +144,10 @@ class ServiceCore {
   // before this returns. Only journal I/O failures are Status errors.
   StatusOr<AdmitDecision> Submit(const JobSpec& spec);
 
-  // Blocks until every admitted job is terminal, then closes the
-  // admission window (the client-visible barrier that resets budgets).
+  // Blocks until every admitted job is terminal, or until nothing runs
+  // after the drain token was cancelled (dispatch halts there; the queued
+  // jobs stay journaled), then closes the admission window (the
+  // client-visible barrier that resets budgets).
   void WaitIdle();
 
   // Non-blocking idleness probe: true when nothing is queued or running.
@@ -160,12 +164,16 @@ class ServiceCore {
   ServiceStats GetStats() const;
   // Terminal outcomes of this process life, in completion order.
   std::vector<JobOutcome> Outcomes() const;
+  // The terminal outcome of `id` from this or an earlier process life
+  // (its done record); nullopt while the job is incomplete or unknown.
+  std::optional<JobOutcome> KnownOutcome(const std::string& id) const;
   size_t recovered_jobs() const;
   // Corrupt records renamed to *.corrupt during this life's recovery.
   size_t quarantined_records() const { return quarantined_; }
 
   // Cancelled when drain starts; signal handlers use it to interrupt the
-  // in-flight job before calling Drain() from a normal context.
+  // in-flight job, and stop dispatch of queued ones, before calling
+  // Drain() from a normal context.
   CancellationToken drain_token() const { return drain_token_; }
 
   // The resident dataset cache; null when ServiceConfig::cache_enabled is

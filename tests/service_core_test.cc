@@ -288,6 +288,47 @@ TEST(ServiceCoreTest, TransientFailuresRetryThenExhaust) {
   EXPECT_EQ(outcomes[0].attempts, 3u);
 }
 
+TEST(ServiceCoreTest, CancelledDrainTokenHaltsDispatchAndReleasesWaitIdle) {
+  // A signal handler cancels the drain token before Drain() runs: the
+  // in-flight job is interrupted, no queued job starts, and WaitIdle
+  // returns instead of waiting for a queue that will not move.
+  std::string dir = FreshStateDir("halt");
+  std::vector<std::string> calls;
+  ServiceConfig config;
+  config.state_dir = dir;
+  CancellationToken token = config.drain_token;
+  auto core = ServiceCore::Start(
+      config, [&](const ServiceCore::ExecRequest& request) {
+        calls.push_back(request.spec.id);
+        if (request.spec.id == "a") token.Cancel();
+        ServiceCore::ExecResult result;
+        result.status = request.run->Check();
+        return result;
+      });
+  ASSERT_TRUE(core.ok());
+  for (const char* id : {"a", "b", "c"}) {
+    ASSERT_TRUE((*core)->Submit(Spec(id)).ok());
+  }
+  (*core)->WaitIdle();
+  ServiceStats stats = (*core)->GetStats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.queued, 2u);
+  ASSERT_TRUE((*core)->Drain().ok());
+  EXPECT_EQ(calls, std::vector<std::string>{"a"});
+
+  ServiceConfig restart;
+  restart.state_dir = dir;
+  auto resumed = ServiceCore::Start(
+      restart, [&](const ServiceCore::ExecRequest& request) {
+        calls.push_back(request.spec.id);
+        return ServiceCore::ExecResult{};
+      });
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ((*resumed)->recovered_jobs(), 3u);
+  (*resumed)->WaitIdle();
+  EXPECT_EQ(calls, (std::vector<std::string>{"a", "a", "b", "c"}));
+}
+
 TEST(ServiceCoreTest, DeterministicFailuresQuarantineWithoutRetry) {
   std::string dir = FreshStateDir("quarantine");
   int calls = 0;

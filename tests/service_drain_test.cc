@@ -6,9 +6,10 @@
 //    exits 0; the state directory holds no partially written artifacts
 //    (`*.tmp`), and a restart + resubmission converges to artifacts that
 //    are byte-identical to an uninterrupted reference run.
-//  * `mdc_cli batch` + SIGTERM mid-run: exit code 3, the checkpoint loads
-//    (re-running the same command resumes), no partial artifacts, and the
-//    resumed artifact set is byte-identical to an uninterrupted run.
+//  * `mdc_cli batch` + SIGTERM mid-run: exit code 3, the job journal is
+//    durable (re-running the same command resumes), no partial artifacts,
+//    and the resumed artifact set is byte-identical to an uninterrupted
+//    run.
 //  * The deterministic counters the service flushes at drain
 //    (state-dir/counters.txt) are byte-identical across --threads values.
 
@@ -219,8 +220,9 @@ TEST(ServeDrainTest, DeterministicCountersAreIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// batch + SIGTERM: checkpoint loads, no partial artifacts, byte-identical
-// resume.
+// batch + SIGTERM: durable journal, no partial artifacts, byte-identical
+// resume. Batch state is a service state directory: artifacts under
+// <dir>/artifacts/<id>, the journal under <dir>/jobs.
 
 std::string BatchJobsCsv(int jobs) {
   std::string csv = "id,algorithm,k\n";
@@ -233,14 +235,14 @@ std::string BatchJobsCsv(int jobs) {
   return csv;
 }
 
-int CountCsvArtifacts(const std::string& dir) {
+int CountFiles(const std::string& dir) {
   std::vector<std::string> files;
   ListFilesUnder(dir, "", files);
-  int count = 0;
-  for (const std::string& f : files) {
-    if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) ++count;
-  }
-  return count;
+  return static_cast<int>(files.size());
+}
+
+int CountBatchArtifacts(const std::string& dir) {
+  return CountFiles(dir + "/artifacts");
 }
 
 TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
@@ -259,12 +261,12 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     ASSERT_TRUE(WIFEXITED(status));
     ASSERT_EQ(WEXITSTATUS(status), 0);
   }
-  ASSERT_EQ(CountCsvArtifacts(ref_dir), kJobs);
+  ASSERT_EQ(CountBatchArtifacts(ref_dir), kJobs);
 
   // Interrupted run: SIGTERM once the batch is visibly mid-flight. The
-  // kill lands at a job boundary (cooperative cancellation), so with a
-  // 48-job batch the window is wide; if the batch still wins the race we
-  // retry on a fresh directory rather than flake.
+  // signal interrupts the running job (cooperative cancellation) and the
+  // batch drains, so with a 48-job batch the window is wide; if the batch
+  // still wins the race we retry on a fresh directory rather than flake.
   std::string dir;
   bool interrupted = false;
   for (int attempt = 0; attempt < 5 && !interrupted; ++attempt) {
@@ -274,7 +276,7 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     CliProcess batch(MDC_CLI_BIN, {"batch", "--jobs", jobs_path,
                                    "--checkpoint-dir", dir});
     // Wait until at least two artifacts are durable, then pull the plug.
-    for (int spin = 0; spin < 20000 && CountCsvArtifacts(dir) < 2; ++spin) {
+    for (int spin = 0; spin < 20000 && CountBatchArtifacts(dir) < 2; ++spin) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     batch.Signal(SIGTERM);
@@ -288,10 +290,10 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
   }
   ASSERT_TRUE(interrupted) << "could not interrupt a 48-job batch in 5 tries";
 
-  // Invariants at the interruption point: durable checkpoint, fewer
-  // artifacts than jobs, no torn writes.
-  EXPECT_FALSE(ReadFileOrEmpty(dir + "/batch_checkpoint.bin").empty());
-  EXPECT_LT(CountCsvArtifacts(dir), kJobs);
+  // Invariants at the interruption point: every job durably journaled,
+  // fewer artifacts than jobs, no torn writes.
+  EXPECT_EQ(CountFiles(dir + "/jobs"), kJobs);
+  EXPECT_LT(CountBatchArtifacts(dir), kJobs);
   EXPECT_EQ(CountTmpFiles(dir), 0);
 
   // Resume: the same command again runs only the remainder and exits 0.
@@ -303,14 +305,14 @@ TEST(BatchDrainTest, SigtermMidBatchCheckpointsAndResumesByteIdentically) {
     int status = batch.Wait();
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0)
-        << "checkpoint must load and the batch must complete on resume";
+        << "the journal must load and the batch must complete on resume";
   }
-  ASSERT_EQ(CountCsvArtifacts(dir), kJobs);
+  ASSERT_EQ(CountBatchArtifacts(dir), kJobs);
   EXPECT_EQ(CountTmpFiles(dir), 0);
 
   // Byte-identical artifacts versus the uninterrupted reference.
   for (int i = 0; i < kJobs; ++i) {
-    std::string name = "/job" + std::to_string(i) + ".csv";
+    std::string name = "/artifacts/job" + std::to_string(i);
     EXPECT_EQ(ReadFileOrEmpty(dir + name), ReadFileOrEmpty(ref_dir + name))
         << "artifact diverged after resume: job" << i;
   }

@@ -26,7 +26,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "core/batch_runner.h"
 #include "service/job_spec.h"
 #include "service/service_core.h"
 #include "service/transport.h"
