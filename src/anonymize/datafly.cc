@@ -1,8 +1,10 @@
 #include "anonymize/datafly.h"
 
-#include <set>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 
 namespace mdc {
@@ -19,35 +21,44 @@ StatusOr<DataflyResult> DataflyAnonymize(
 
   MDC_ASSIGN_OR_RETURN(Lattice lattice,
                        Lattice::ForHierarchies(hierarchies));
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
+                       EncodedNodeEvaluator::Build(original, hierarchies, run));
   LatticeNode node = lattice.Bottom();
   int steps = 0;
 
   while (true) {
     MDC_FAILPOINT("datafly.step");
-    MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                         EvaluateNode(original, hierarchies, node, config.k,
-                                      config.suppression, "datafly", run));
+    MDC_ASSIGN_OR_RETURN(
+        EncodedNodeEvaluator::Evaluation evaluation,
+        evaluator.Evaluate(node, config.k, config.suppression, run));
     if (evaluation.feasible) {
-      return DataflyResult{std::move(evaluation), node, steps,
+      MDC_ASSIGN_OR_RETURN(NodeEvaluation release,
+                           evaluator.Materialize(node, evaluation, "datafly"));
+      return DataflyResult{std::move(release), node, steps,
                            RunContext::Stats(run)};
     }
 
     // Generalize the attribute whose labels are currently most diverse,
-    // among attributes that can still be generalized.
+    // among attributes that can still be generalized. An infeasible node
+    // suppresses nothing, so a column's distinct released labels are the
+    // distinct label codes its present values map to.
     size_t best_pos = hierarchies.size();
     size_t best_distinct = 0;
+    std::vector<char> seen;
     for (size_t pos = 0; pos < hierarchies.size(); ++pos) {
       if (node[pos] >= hierarchies.At(pos).height()) continue;
-      size_t column = hierarchies.columns()[pos];
-      std::set<std::string> distinct;
-      for (size_t r = 0; r < evaluation.anonymization.release.row_count();
-           ++r) {
-        distinct.insert(
-            evaluation.anonymization.release.cell(r, column).ToString());
+      const LevelCodeTable& table = evaluator.codec().table(pos, node[pos]);
+      seen.assign(table.labels.size(), 0);
+      size_t distinct = 0;
+      for (uint32_t label : table.value_to_label) {
+        if (seen[label] == 0) {
+          seen[label] = 1;
+          ++distinct;
+        }
       }
-      if (best_pos == hierarchies.size() || distinct.size() > best_distinct) {
+      if (best_pos == hierarchies.size() || distinct > best_distinct) {
         best_pos = pos;
-        best_distinct = distinct.size();
+        best_distinct = distinct;
       }
     }
     if (best_pos == hierarchies.size()) {

@@ -1,9 +1,10 @@
-// Columnar lattice-node evaluation.
+// Columnar lattice-node evaluation: the one node-evaluation path of every
+// lattice search.
 //
-// The legacy EvaluateNode() generalizes every cell through its hierarchy
-// (string construction per row per column) and groups rows with a
-// string-keyed map. EncodedNodeEvaluator does the same work in integer
-// space: the dataset's QI columns are dictionary-encoded once
+// The reference EvaluateNode() (full_domain.h) generalizes every cell
+// through its hierarchy (string construction per row per column) and
+// groups rows with a string-keyed map. EncodedNodeEvaluator does the same
+// work in integer space: the dataset's QI columns are dictionary-encoded once
 // (table/encoded_view.h), each (position, level) gets a code translation
 // table built from the distinct values only (hierarchy/level_codec.h), and
 // evaluating a node is then an O(rows) integer gather plus hash-grouping on
@@ -15,15 +16,16 @@
 // check, RunContext::Check, the "full_domain.evaluate" failpoint, node
 // validation, suppression policy, feasibility — without materializing the
 // released table. Materialize() builds the full NodeEvaluation (release
-// labels, suppressed rows starred) when a caller actually needs it, which
-// the searches only do for the few feasible nodes they score. Score()
-// gives the Pareto sweep a node's partition and per-tuple LM utility
-// straight from the label codes.
+// labels, suppressed rows starred) for a node a search keeps or scores
+// with a LossFn: feasible nodes in most searches, every candidate of the
+// bottom-up walk. Score() gives the Pareto sweep a node's partition and
+// per-tuple LM utility straight from the label codes.
 //
 // One intentional divergence: values that a hierarchy cannot generalize
-// surface as an error from Build() (all levels are translated up front)
-// instead of from the first node evaluation that touches the bad level.
-// The Status itself is the same one the legacy path would return.
+// surface as an error from Build() (all levels are translated up front,
+// before a search's first budget check) instead of from the first node
+// evaluation that touches the bad level. The Status itself is the same one
+// the reference path would return.
 //
 // EvaluateBatch() fans one batch of nodes out over a ThreadPool. Workers
 // run with run = nullptr — the caller charges RunContext in deterministic

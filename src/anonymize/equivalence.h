@@ -137,8 +137,8 @@ class EquivalencePartition {
   static EquivalencePartition FromAnonymization(
       const Anonymization& anonymization);
 
-  // Groups the rows of `dataset` by the given columns (used internally and
-  // by Datafly's frequency loop before a release exists).
+  // Groups the rows of `dataset` by the given columns (used internally by
+  // FromAnonymization).
   static EquivalencePartition FromColumns(const Dataset& dataset,
                                           const std::vector<size_t>& columns);
 

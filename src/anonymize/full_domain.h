@@ -1,11 +1,13 @@
 // Shared machinery for full-domain generalization algorithms.
 //
-// Datafly, Samarati, the optimal lattice search and the stochastic search
-// all evaluate lattice nodes the same way: apply the node's scheme, find
-// the equivalence classes, suppress the rows of classes smaller than k if
-// the suppression budget allows, and report feasibility. Suppressed rows
-// stay in the release fully generalized (paper §3) and are exempt from the
-// k-anonymity check.
+// Every lattice search evaluates nodes the same way: apply the node's
+// scheme, find the equivalence classes, suppress the rows of classes
+// smaller than k if the suppression budget allows, and report
+// feasibility. Suppressed rows stay in the release fully generalized
+// (paper §3) and are exempt from the k-anonymity check. The searches do
+// this through EncodedNodeEvaluator (anonymize/encoded_eval.h); this
+// header holds the result types they share, the checkpoint contract, the
+// loss-function type and the string-path reference EvaluateNode.
 
 #ifndef MDC_ANONYMIZE_FULL_DOMAIN_H_
 #define MDC_ANONYMIZE_FULL_DOMAIN_H_
@@ -89,12 +91,16 @@ struct NodeEvaluation {
   bool feasible = false;  // k-anonymous after within-budget suppression.
 };
 
+// Reference node evaluation on the string path: generalizes every cell
+// through its hierarchy and groups rows by their label strings. No search
+// calls it; it is the oracle EncodedNodeEvaluator is tested against (and
+// the legacy baseline of bench_encoded_eval), and it counts
+// eval.nodes_legacy.
+//
 // Applies `node` over `hierarchies`, suppresses undersized classes within
 // budget, and reports whether the result is k-anonymous (suppressed rows
 // exempt). `k` must be >= 1. A non-null `run` is charged one work-step per
-// call; an exhausted budget returns the budget Status before any work, so
-// every algorithm that evaluates nodes in a loop is budget-checked at node
-// granularity for free.
+// call; an exhausted budget returns the budget Status before any work.
 StatusOr<NodeEvaluation> EvaluateNode(std::shared_ptr<const Dataset> original,
                                       const HierarchySet& hierarchies,
                                       const LatticeNode& node, int k,

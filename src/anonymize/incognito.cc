@@ -6,81 +6,46 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 
+#include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "hierarchy/level_codec.h"
-#include "table/encoded_view.h"
+#include "table/gather_kernels.h"
 
 namespace mdc {
 namespace {
 
-// Interned labels: label_ids[pos][level][row] is a small integer
-// identifying Generalize(cell(row, column_of(pos)), level). Built by
-// dictionary-encoding each column once and gathering through the per-level
-// code tables — O(distinct) hierarchy lookups instead of O(rows), and the
-// same Status on ungeneralizable values as the per-row path.
-struct LabelTable {
-  std::vector<std::vector<std::vector<int>>> label_ids;
-
-  static StatusOr<LabelTable> Build(const Dataset& data,
-                                    const HierarchySet& hierarchies) {
-    MDC_ASSIGN_OR_RETURN(EncodedView view,
-                         EncodedView::Build(data, hierarchies.columns()));
-    MDC_ASSIGN_OR_RETURN(LevelCodec codec,
-                         LevelCodec::Build(view, hierarchies));
-    LabelTable table;
-    table.label_ids.resize(hierarchies.size());
-    for (size_t pos = 0; pos < hierarchies.size(); ++pos) {
-      const AlignedVector<uint32_t>& codes = view.codes(pos);
-      const int height = codec.height(pos);
-      table.label_ids[pos].resize(static_cast<size_t>(height) + 1);
-      for (int level = 0; level <= height; ++level) {
-        const LevelCodeTable& lut = codec.table(pos, level);
-        std::vector<int>& ids =
-            table.label_ids[pos][static_cast<size_t>(level)];
-        ids.resize(codes.size());
-        for (size_t row = 0; row < codes.size(); ++row) {
-          ids[row] = static_cast<int>(lut.value_to_label[codes[row]]);
-        }
-      }
-    }
-    return table;
-  }
-};
-
-struct VectorHash {
-  size_t operator()(const std::vector<int>& v) const {
-    size_t h = 146527;
-    for (int x : v) {
-      h = h * 1000003 + static_cast<size_t>(x);
-    }
-    return h;
-  }
-};
-
 // Frequency check: rows in classes smaller than k, over the projection of
 // the data onto `subset` at `node` levels. Feasible iff the count fits in
-// the suppression budget.
-bool ProjectionFeasible(const LabelTable& labels,
+// the suppression budget. The projection's label codes are gathered from
+// the evaluator's tables and grouped by the kernel Evaluate() uses.
+bool ProjectionFeasible(const EncodedNodeEvaluator& evaluator,
                         const std::vector<size_t>& subset,
-                        const std::vector<int>& node, size_t row_count,
-                        int k, size_t max_suppressed) {
-  std::unordered_map<std::vector<int>, size_t, VectorHash> counts;
-  counts.reserve(row_count);
-  std::vector<int> key(subset.size());
-  for (size_t row = 0; row < row_count; ++row) {
-    for (size_t i = 0; i < subset.size(); ++i) {
-      key[i] = labels.label_ids[subset[i]][static_cast<size_t>(node[i])][row];
+                        const std::vector<int>& node, int k,
+                        size_t max_suppressed) {
+  // Per-thread scratch: the wave sweep runs checks on pool workers.
+  thread_local std::vector<std::vector<uint32_t>> label_cols;
+  thread_local std::vector<uint32_t> cards;
+  const size_t rows = evaluator.row_count();
+  const GatherKernels& kernels = ActiveGatherKernels();
+  label_cols.resize(subset.size());
+  cards.resize(subset.size());
+  for (size_t i = 0; i < subset.size(); ++i) {
+    const LevelCodeTable& table = evaluator.codec().table(subset[i], node[i]);
+    cards[i] = static_cast<uint32_t>(table.labels.size());
+    label_cols[i].resize(rows);
+    if (rows > 0) {
+      kernels.gather_u32(evaluator.view().codes(subset[i]).data(), rows,
+                         table.value_to_label.data(), label_cols[i].data());
     }
-    ++counts[key];
   }
+  EquivalencePartition partition =
+      EquivalencePartition::FromCodeColumns(rows, label_cols, cards);
   size_t undersized = 0;
-  for (const auto& [group, count] : counts) {
-    if (count < static_cast<size_t>(k)) undersized += count;
+  for (ClassSpan members : partition.classes()) {
+    if (members.size() < static_cast<size_t>(k)) undersized += members.size();
   }
   return undersized <= max_suppressed;
 }
@@ -177,15 +142,8 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
   MDC_METRIC_INC("search.incognito.runs");
   MDC_RETURN_IF_ERROR(hierarchies.CoversQuasiIdentifiers(original->schema()));
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
-  MDC_ASSIGN_OR_RETURN(LabelTable labels,
-                       LabelTable::Build(*original, hierarchies));
-  // Best-effort accounting of the dominant allocation: one interned id per
-  // (position, level, row).
-  for (const auto& levels : labels.label_ids) {
-    for (const auto& ids : levels) {
-      RunContext::ChargeMemory(run, ids.size() * sizeof(int));
-    }
-  }
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
+                       EncodedNodeEvaluator::Build(original, hierarchies, run));
   const int threads = ThreadPool::ResolveThreadCount(config.threads);
   std::optional<ThreadPool> pool;
   if (threads > 1) pool.emplace(threads);
@@ -193,8 +151,8 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
   IncognitoResult result;
   result.lattice_size = lattice.NodeCount();
   const size_t m = hierarchies.size();
-  const size_t row_count = original->row_count();
-  const size_t max_suppressed = config.suppression.MaxRows(row_count);
+  const size_t max_suppressed =
+      config.suppression.MaxRows(original->row_count());
   const std::vector<int> all_max = hierarchies.MaxLevels();
 
   // satisfying[subset] = set of satisfying level vectors over that subset.
@@ -314,7 +272,7 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
         }
         ++result.frequency_evaluations;
         MDC_METRIC_INC("search.incognito.frequency_checks");
-        if (ProjectionFeasible(labels, subset, node, row_count, config.k,
+        if (ProjectionFeasible(evaluator, subset, node, config.k,
                                max_suppressed)) {
           sat.insert(node);
         }
@@ -365,7 +323,7 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
         std::vector<char> feasible(batch.size(), 0);
         pool->ParallelFor(batch.size(), [&](size_t j) {
           feasible[j] =
-              ProjectionFeasible(labels, subset, nodes[batch[j]], row_count,
+              ProjectionFeasible(evaluator, subset, nodes[batch[j]],
                                  config.k, max_suppressed)
                   ? 1
                   : 0;
@@ -408,9 +366,11 @@ StatusOr<IncognitoResult> IncognitoAnonymize(
 
   bool have_best = false;
   for (const LatticeNode& node : result.minimal_nodes) {
+    MDC_ASSIGN_OR_RETURN(
+        EncodedNodeEvaluator::Evaluation encoded,
+        evaluator.Evaluate(node, config.k, config.suppression));
     MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                         EvaluateNode(original, hierarchies, node, config.k,
-                                      config.suppression, "incognito"));
+                         evaluator.Materialize(node, encoded, "incognito"));
     MDC_CHECK_MSG(evaluation.feasible,
                   "Incognito-satisfying node fails full evaluation");
     double node_loss = loss(evaluation.anonymization, evaluation.partition);

@@ -13,17 +13,6 @@
 namespace mdc {
 namespace {
 
-bool SatisfiesAll(const OptimalSearchConfig& config,
-                  const NodeEvaluation& evaluation) {
-  if (!evaluation.feasible) return false;
-  if (config.extra_predicate &&
-      !config.extra_predicate(evaluation.anonymization,
-                              evaluation.partition)) {
-    return false;
-  }
-  return true;
-}
-
 constexpr uint32_t kOptimalPayloadVersion = 1;
 
 }  // namespace
@@ -101,14 +90,15 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     result.minimal_nodes = checkpoint->minimal_nodes;
     result.nodes_evaluated = static_cast<size_t>(checkpoint->nodes_evaluated);
     if (!result.minimal_nodes.empty()) {
-      // Re-derive the best evaluation: EvaluateNode is deterministic, so
-      // this reproduces exactly what the interrupted run held in memory.
+      // Re-derive the best evaluation: node evaluation is deterministic,
+      // so this reproduces exactly what the interrupted run held in memory.
       result.best_node = checkpoint->best_node;
       result.best_loss = checkpoint->best_loss;
       MDC_ASSIGN_OR_RETURN(
-          result.best,
-          EvaluateNode(original, hierarchies, result.best_node, config.k,
-                       config.suppression, "optimal"));
+          EncodedNodeEvaluator::Evaluation best,
+          evaluator.Evaluate(result.best_node, config.k, config.suppression));
+      MDC_ASSIGN_OR_RETURN(result.best, evaluator.Materialize(
+                                            result.best_node, best, "optimal"));
     }
   }
 
@@ -271,10 +261,17 @@ StatusOr<OptimalSearchResult> OptimalLatticeSearch(
     for (const LatticeNode& node : result.minimal_nodes) {
       for (const LatticeNode& succ : lattice.Successors(node)) {
         MDC_ASSIGN_OR_RETURN(
-            NodeEvaluation evaluation,
-            EvaluateNode(original, hierarchies, succ, config.k,
-                         config.suppression, "optimal"));
-        if (!SatisfiesAll(config, evaluation)) {
+            EncodedNodeEvaluator::Evaluation evaluation,
+            evaluator.Evaluate(succ, config.k, config.suppression));
+        bool satisfies = evaluation.feasible;
+        if (satisfies && config.extra_predicate) {
+          MDC_ASSIGN_OR_RETURN(
+              NodeEvaluation full,
+              evaluator.Materialize(succ, evaluation, "optimal"));
+          satisfies =
+              config.extra_predicate(full.anonymization, full.partition);
+        }
+        if (!satisfies) {
           return Status::FailedPrecondition(
               "privacy predicate is not monotone: " +
               Lattice::ToString(node) + " satisfies but its successor " +

@@ -55,7 +55,7 @@ struct OptimalSearchConfig {
 // Resumable sweep position: `next_index` points into the deterministic
 // AllNodesByHeight order; `satisfying` is the monotonicity bitmap over
 // lattice indices accumulated so far. The best evaluation itself is not
-// serialized — `best_node` is re-evaluated on resume (EvaluateNode is
+// serialized — `best_node` is re-evaluated on resume (node evaluation is
 // deterministic), which keeps checkpoints small.
 struct OptimalLatticeCheckpoint final : Checkpointable {
   uint64_t next_index = 0;

@@ -210,9 +210,11 @@ StatusOr<SamaratiResult> SamaratiAnonymize(
     double best_loss = 0.0;
     bool have_best = false;
     for (const LatticeNode& node : result.minimal_nodes) {
+      MDC_ASSIGN_OR_RETURN(
+          EncodedNodeEvaluator::Evaluation encoded,
+          evaluator.Evaluate(node, config.k, config.suppression));
       MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                           EvaluateNode(original, hierarchies, node, config.k,
-                                        config.suppression, "samarati"));
+                           evaluator.Materialize(node, encoded, "samarati"));
       double node_loss = loss(evaluation.anonymization, evaluation.partition);
       if (!have_best || node_loss < best_loss) {
         best_loss = node_loss;

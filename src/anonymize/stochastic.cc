@@ -304,10 +304,12 @@ StatusOr<StochasticResult> StochasticAnonymize(
 
   // Final evaluation runs unbudgeted: it re-derives the release we already
   // committed to return.
-  MDC_ASSIGN_OR_RETURN(NodeEvaluation best,
-                       EvaluateNode(original, hierarchies, result.best_node,
-                                    config.k, config.suppression,
-                                    "stochastic"));
+  MDC_ASSIGN_OR_RETURN(
+      EncodedNodeEvaluator::Evaluation best_encoded,
+      evaluator.Evaluate(result.best_node, config.k, config.suppression));
+  MDC_ASSIGN_OR_RETURN(
+      NodeEvaluation best,
+      evaluator.Materialize(result.best_node, best_encoded, "stochastic"));
   if (!have_best) {
     result.best_loss = loss(best.anonymization, best.partition);
   }

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "anonymize/encoded_eval.h"
 #include "common/failpoint.h"
 
 namespace mdc {
@@ -16,15 +17,20 @@ StatusOr<GreedyWalkResult> TopDownSpecialize(
   MDC_RETURN_IF_ERROR(hierarchies.CoversQuasiIdentifiers(original->schema()));
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
 
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
+                       EncodedNodeEvaluator::Build(original, hierarchies, run));
+
   LatticeNode node = lattice.Top();
-  MDC_ASSIGN_OR_RETURN(NodeEvaluation current,
-                       EvaluateNode(original, hierarchies, node, config.k,
-                                    config.suppression, "top-down", run));
-  if (!current.feasible) {
+  MDC_ASSIGN_OR_RETURN(
+      EncodedNodeEvaluator::Evaluation top,
+      evaluator.Evaluate(node, config.k, config.suppression, run));
+  if (!top.feasible) {
     return Status::Infeasible(
         "top-down specialization: table infeasible even at full "
         "generalization");
   }
+  MDC_ASSIGN_OR_RETURN(NodeEvaluation current,
+                       evaluator.Materialize(node, top, "top-down"));
   double current_loss = loss(current.anonymization, current.partition);
   int steps = 0;
 
@@ -37,9 +43,8 @@ StatusOr<GreedyWalkResult> TopDownSpecialize(
     double best_loss = current_loss;
     for (const LatticeNode& candidate : lattice.Predecessors(node)) {
       MDC_FAILPOINT("top_down.step");
-      auto evaluation_or = EvaluateNode(original, hierarchies, candidate,
-                                        config.k, config.suppression,
-                                        "top-down", run);
+      auto evaluation_or =
+          evaluator.Evaluate(candidate, config.k, config.suppression, run);
       if (!evaluation_or.ok()) {
         // The current node is feasible: stop specializing and release it.
         if (evaluation_or.status().IsBudgetError()) {
@@ -48,8 +53,10 @@ StatusOr<GreedyWalkResult> TopDownSpecialize(
         }
         return evaluation_or.status();
       }
-      NodeEvaluation evaluation = std::move(evaluation_or).value();
-      if (!evaluation.feasible) continue;
+      if (!evaluation_or->feasible) continue;
+      MDC_ASSIGN_OR_RETURN(
+          NodeEvaluation evaluation,
+          evaluator.Materialize(candidate, *evaluation_or, "top-down"));
       double candidate_loss =
           loss(evaluation.anonymization, evaluation.partition);
       if (candidate_loss < best_loss ||
@@ -80,10 +87,18 @@ StatusOr<GreedyWalkResult> BottomUpGeneralize(
   MDC_RETURN_IF_ERROR(hierarchies.CoversQuasiIdentifiers(original->schema()));
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
 
+  MDC_ASSIGN_OR_RETURN(EncodedNodeEvaluator evaluator,
+                       EncodedNodeEvaluator::Build(original, hierarchies, run));
+  // Every candidate is scored, feasible or not, so each is materialized.
+  auto evaluate = [&](const LatticeNode& at) -> StatusOr<NodeEvaluation> {
+    MDC_ASSIGN_OR_RETURN(
+        EncodedNodeEvaluator::Evaluation evaluation,
+        evaluator.Evaluate(at, config.k, config.suppression, run));
+    return evaluator.Materialize(at, evaluation, "bottom-up");
+  };
+
   LatticeNode node = lattice.Bottom();
-  MDC_ASSIGN_OR_RETURN(NodeEvaluation current,
-                       EvaluateNode(original, hierarchies, node, config.k,
-                                    config.suppression, "bottom-up", run));
+  MDC_ASSIGN_OR_RETURN(NodeEvaluation current, evaluate(node));
   int steps = 0;
 
   while (!current.feasible) {
@@ -103,10 +118,7 @@ StatusOr<GreedyWalkResult> BottomUpGeneralize(
     double best_ratio = -std::numeric_limits<double>::infinity();
     for (const LatticeNode& candidate : lattice.Successors(node)) {
       MDC_FAILPOINT("bottom_up.step");
-      MDC_ASSIGN_OR_RETURN(
-          NodeEvaluation evaluation,
-          EvaluateNode(original, hierarchies, candidate, config.k,
-                       config.suppression, "bottom-up", run));
+      MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation, evaluate(candidate));
       size_t undersized = 0;
       for (ClassSpan members : evaluation.partition.classes()) {
         if (members.size() < static_cast<size_t>(config.k)) {

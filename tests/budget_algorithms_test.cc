@@ -21,8 +21,11 @@
 #include "anonymize/top_down.h"
 #include "common/run_context.h"
 #include "datagen/census_generator.h"
+#include "hierarchy/suffix_hierarchy.h"
+#include "hierarchy/taxonomy_hierarchy.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
+#include "table/schema.h"
 
 namespace mdc {
 namespace {
@@ -174,6 +177,64 @@ TEST(BudgetTest, BottomUpReturnsBudgetStatus) {
                                    GreedyWalkConfig{3, {}}, ProxyLoss, &run);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsBudgetError());
+}
+
+// A value outside its hierarchy's domain fails when a search builds its
+// encoded evaluator, before the first budget check, so even a spent step
+// budget reports the domain error. It is the Status the string path
+// returns at the first node it evaluates (the taxonomy rejects the value
+// at every level).
+TEST(BudgetTest, OutOfDomainValueFailsBeforeTheFirstBudgetCheck) {
+  auto schema = ParseSchemaSpec("kind:string:qi,code:string:qi");
+  ASSERT_TRUE(schema.ok());
+  auto data = std::make_shared<Dataset>(*schema);
+  for (const char* kind : {"a", "b", "zzz", "a"}) {
+    ASSERT_TRUE(
+        data->AppendRow({Value(std::string(kind)), Value(std::string("123"))})
+            .ok());
+  }
+  auto tree = TaxonomyHierarchy::Builder().Add("a", "*").Add("b", "*").Build();
+  ASSERT_TRUE(tree.ok());
+  auto suffix = SuffixHierarchy::Create(3);
+  ASSERT_TRUE(suffix.ok());
+  HierarchySet hierarchies;
+  ASSERT_TRUE(
+      hierarchies.Bind(0, std::make_shared<TaxonomyHierarchy>(*tree)).ok());
+  ASSERT_TRUE(
+      hierarchies.Bind(1, std::make_shared<SuffixHierarchy>(*suffix)).ok());
+  auto string_path = EvaluateNode(data, hierarchies, {1, 1}, 2, {}, "test");
+  ASSERT_FALSE(string_path.ok());
+  const std::string want = string_path.status().ToString();
+
+  auto spent = [] {
+    RunContext run;
+    run.set_max_steps(0);
+    return run;
+  };
+  RunContext datafly_run = spent();
+  EXPECT_EQ(DataflyAnonymize(data, hierarchies, DataflyConfig{2, {}},
+                             &datafly_run)
+                .status()
+                .ToString(),
+            want);
+  RunContext top_down_run = spent();
+  EXPECT_EQ(TopDownSpecialize(data, hierarchies, GreedyWalkConfig{2, {}},
+                              ProxyLoss, &top_down_run)
+                .status()
+                .ToString(),
+            want);
+  RunContext bottom_up_run = spent();
+  EXPECT_EQ(BottomUpGeneralize(data, hierarchies, GreedyWalkConfig{2, {}},
+                               ProxyLoss, &bottom_up_run)
+                .status()
+                .ToString(),
+            want);
+  RunContext incognito_run = spent();
+  EXPECT_EQ(IncognitoAnonymize(data, hierarchies, IncognitoConfig{2, {}},
+                               ProxyLoss, &incognito_run)
+                .status()
+                .ToString(),
+            want);
 }
 
 TEST(BudgetTest, ClusteringFoldsLeftoversIntoCompleteClusters) {
