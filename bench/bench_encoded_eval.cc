@@ -1,7 +1,8 @@
 // PERF-3: columnar evaluation engine. Three comparisons back the numbers
 // in BENCH_lattice.json (see docs/performance.md):
-//   1. node evaluation — legacy string-path EvaluateNode vs encoded
-//      Evaluate, swept over every node of the 5-QI census lattice;
+//   1. node evaluation — the string-path reference oracle::EvaluateNode
+//      (tests/oracle/) vs encoded Evaluate, swept over every node of the
+//      5-QI census lattice;
 //   2. lattice searches at 1 thread — encoded engine end to end;
 //   3. lattice searches at N threads — wave-parallel speedup.
 // items_processed counts lattice nodes, so items_per_second is
@@ -20,6 +21,7 @@
 #include "anonymize/samarati.h"
 #include "anonymize/stochastic.h"
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 
 namespace mdc {
 namespace {
@@ -50,8 +52,8 @@ void BM_NodeEval_Legacy(benchmark::State& state) {
   for (auto _ : state) {
     for (const LatticeNode& node : nodes) {
       auto evaluation =
-          EvaluateNode(census.data, census.hierarchies, node, 5, budget,
-                       "bench");
+          oracle::EvaluateNode(census.data, census.hierarchies, node, 5,
+                               budget, "bench");
       MDC_CHECK(evaluation.ok());
       benchmark::DoNotOptimize(evaluation->suppressed_count);
     }

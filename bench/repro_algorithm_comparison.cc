@@ -63,7 +63,7 @@ StatusOr<NamedRelease> RunOne(const std::string& name,
                         std::move(result.evaluation.partition)};
   }
   if (name == "samarati") {
-    SamaratiConfig config{k, budget};
+    SamaratiConfig config{.k = k, .suppression = budget};
     MDC_ASSIGN_OR_RETURN(auto result,
                          SamaratiAnonymize(census.data, census.hierarchies,
                                            config, ProxyLoss, run));

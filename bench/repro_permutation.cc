@@ -23,6 +23,7 @@
 #include "core/permutation_metrics.h"
 #include "core/property_matrix.h"
 #include "datagen/census_generator.h"
+#include "oracle/comparison.h"
 
 using namespace mdc;
 
@@ -109,7 +110,6 @@ int main() {
     auto matrix = PropertyMatrix::FromSet(set);
     MDC_CHECK(matrix.ok());
     AllPairsOptions options;
-    options.engine = CompareEngine::kPacked;
     options.d_max =
         PropertyVector("ideal", std::vector<double>(matrix->cols(), 1.0));
     auto packed = AllPairsCompare(*matrix, options);
@@ -135,9 +135,8 @@ int main() {
     std::printf("%s\n", ranks.Render().c_str());
 
     // The differential cross-check every repro driver with a packed
-    // section carries: scalar must agree exactly.
-    options.engine = CompareEngine::kScalar;
-    auto scalar = AllPairsCompare(*matrix, options);
+    // section carries: the scalar reference must agree exactly.
+    auto scalar = oracle::AllPairsCompareScalar(*matrix, options);
     MDC_CHECK(scalar.ok());
     bool identical = scalar->pairs.size() == packed->pairs.size();
     for (size_t i = 0; identical && i < scalar->pairs.size(); ++i) {

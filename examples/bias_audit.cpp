@@ -33,7 +33,6 @@ int main() {
   auto release =
       DataflyAnonymize(census->data, census->hierarchies, datafly_config);
   MDC_CHECK(release.ok());
-  const Anonymization& anonymization = release->evaluation.anonymization;
   const EquivalencePartition& partition = release->evaluation.partition;
 
   PropertyVector sizes = EquivalenceClassSizeVector(partition);

@@ -53,7 +53,7 @@ int main() {
                         std::move(r->evaluation.partition)});
   }
   {
-    SamaratiConfig c{k, budget};
+    SamaratiConfig c{.k = k, .suppression = budget};
     auto r = SamaratiAnonymize(census->data, census->hierarchies, c);
     MDC_CHECK(r.ok());
     releases.push_back({"samarati", std::move(r->best.anonymization),
@@ -135,7 +135,8 @@ int main() {
     // 1 + class size keeps entries > 1 so products stay finite-positive
     // in log space... use log-scaled sizes to avoid overflow.
     std::vector<double> logs;
-    for (double v : EquivalenceClassSizeVector(release.partition).values()) {
+    const PropertyVector sizes = EquivalenceClassSizeVector(release.partition);
+    for (double v : sizes.values()) {
       logs.push_back(1.0 + std::log(v));
     }
     privacy.push_back(PropertyVector("log-size", std::move(logs)));

@@ -23,12 +23,13 @@ thread_local std::vector<uint32_t> tls_cards;
 }  // namespace
 
 StatusOr<std::shared_ptr<const EncodedBundle>> BuildEncodedBundle(
-    const Dataset& original, const HierarchySet& hierarchies) {
+    const Dataset& original, const HierarchySet& hierarchies,
+    RunContext* run) {
   auto bundle = std::make_shared<EncodedBundle>();
-  MDC_ASSIGN_OR_RETURN(bundle->view,
-                       EncodedView::Build(original, hierarchies.columns()));
+  MDC_ASSIGN_OR_RETURN(
+      bundle->view, EncodedView::Build(original, hierarchies.columns(), run));
   MDC_ASSIGN_OR_RETURN(bundle->codec,
-                       LevelCodec::Build(bundle->view, hierarchies));
+                       LevelCodec::Build(bundle->view, hierarchies, run));
   return std::shared_ptr<const EncodedBundle>(std::move(bundle));
 }
 
@@ -45,8 +46,14 @@ StatusOr<EncodedNodeEvaluator> EncodedNodeEvaluator::Build(
     MDC_METRIC_INC("eval.bundle_reuses");
     evaluator.bundle_ = std::move(bundle);
   } else {
+    // A run already spent before the build (a budget shared across
+    // searches) fails at the search's first Check, as an unbudgeted build
+    // would, so its step count and memory charge stay the same; the build
+    // watches only for a budget that runs out while it works.
+    RunContext* watch =
+        run != nullptr && run->exhausted().ok() ? run : nullptr;
     MDC_ASSIGN_OR_RETURN(evaluator.bundle_,
-                         BuildEncodedBundle(*original, hierarchies));
+                         BuildEncodedBundle(*original, hierarchies, watch));
   }
   MDC_ASSIGN_OR_RETURN(
       evaluator.release_schema_,
@@ -98,7 +105,7 @@ void EncodedNodeEvaluator::GatherLabelCodes(
 StatusOr<EncodedNodeEvaluator::Evaluation> EncodedNodeEvaluator::Evaluate(
     const LatticeNode& node, int k, const SuppressionBudget& budget,
     RunContext* run) const {
-  // Mirror EvaluateNode()'s observable sequence exactly.
+  // Mirror the string-path reference's observable sequence exactly.
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   MDC_RETURN_IF_ERROR(RunContext::Check(run));
   MDC_FAILPOINT("full_domain.evaluate");

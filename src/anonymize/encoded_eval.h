@@ -1,9 +1,9 @@
 // Columnar lattice-node evaluation: the one node-evaluation path of every
 // lattice search.
 //
-// The reference EvaluateNode() (full_domain.h) generalizes every cell
-// through its hierarchy (string construction per row per column) and
-// groups rows with a string-keyed map. EncodedNodeEvaluator does the same
+// The string-path reference evaluator (tests/oracle/evaluation.h)
+// generalizes every cell through its hierarchy (string construction per
+// row per column) and groups rows with a string-keyed map. EncodedNodeEvaluator does the same
 // work in integer space: the dataset's QI columns are dictionary-encoded once
 // (table/encoded_view.h), each (position, level) gets a code translation
 // table built from the distinct values only (hierarchy/level_codec.h), and
@@ -12,7 +12,7 @@
 // the resulting EquivalencePartition is bit-identical to the legacy path's
 // — same class order, same members, same ClassOfRow.
 //
-// Evaluate() reproduces EvaluateNode()'s observable sequence — the k
+// Evaluate() reproduces the reference's observable sequence — the k
 // check, RunContext::Check, the "full_domain.evaluate" failpoint, node
 // validation, suppression policy, feasibility — without materializing the
 // released table. Materialize() builds the full NodeEvaluation (release
@@ -66,9 +66,12 @@ struct EncodedBundle {
 };
 
 // Encodes the QI columns and builds every (position, level) code table.
-// Pure function of (dataset, hierarchies); charges nothing.
+// Pure function of (dataset, hierarchies); charges nothing. A non-null
+// `run` is checked (zero steps) once per encoded column and once per
+// table, so a deadline or cancellation stops the build early.
 StatusOr<std::shared_ptr<const EncodedBundle>> BuildEncodedBundle(
-    const Dataset& original, const HierarchySet& hierarchies);
+    const Dataset& original, const HierarchySet& hierarchies,
+    RunContext* run = nullptr);
 
 class EncodedNodeEvaluator {
  public:
@@ -88,8 +91,9 @@ class EncodedNodeEvaluator {
     PropertyVector lm_utility;  // LossMetric::PerTupleUtility, code space.
   };
 
-  // Encodes the QI columns and builds every (position, level) code table.
-  // Charges `run` for the code arrays and translation tables. When `bundle`
+  // Encodes the QI columns and builds every (position, level) code table,
+  // checking `run` as BuildEncodedBundle does, then charges `run` for the
+  // code arrays and translation tables. When `bundle`
   // is non-null it must have been built from the same (dataset, hierarchies)
   // pair — the encode/translate work is skipped, but the memory charge is
   // identical, so a run's budgets and counters cannot tell the difference.
@@ -98,13 +102,13 @@ class EncodedNodeEvaluator {
       RunContext* run = nullptr,
       std::shared_ptr<const EncodedBundle> bundle = nullptr);
 
-  // Integer-path equivalent of EvaluateNode(); thread-safe for concurrent
+  // Integer-path node evaluation; thread-safe for concurrent
   // calls (pass run = nullptr from workers — RunContext is not).
   StatusOr<Evaluation> Evaluate(const LatticeNode& node, int k,
                                 const SuppressionBudget& budget,
                                 RunContext* run = nullptr) const;
 
-  // Full NodeEvaluation as EvaluateNode() would have returned for `node`;
+  // Full NodeEvaluation (release built) for `node`;
   // `evaluation` must come from Evaluate() with the same node and policy.
   StatusOr<NodeEvaluation> Materialize(const LatticeNode& node,
                                        const Evaluation& evaluation,

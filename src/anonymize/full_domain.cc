@@ -1,64 +1,6 @@
 #include "anonymize/full_domain.h"
 
-#include <numeric>
-
-#include "common/failpoint.h"
-#include "common/metrics.h"
-
 namespace mdc {
-
-StatusOr<NodeEvaluation> EvaluateNode(std::shared_ptr<const Dataset> original,
-                                      const HierarchySet& hierarchies,
-                                      const LatticeNode& node, int k,
-                                      const SuppressionBudget& budget,
-                                      std::string algorithm,
-                                      RunContext* run) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  MDC_RETURN_IF_ERROR(RunContext::Check(run));
-  MDC_FAILPOINT("full_domain.evaluate");
-  MDC_METRIC_INC("eval.nodes_legacy");
-  MDC_ASSIGN_OR_RETURN(GeneralizationScheme scheme,
-                       GeneralizationScheme::Create(hierarchies, node));
-  MDC_ASSIGN_OR_RETURN(
-      Anonymization anonymization,
-      Generalizer::Apply(std::move(original), scheme, std::move(algorithm)));
-
-  EquivalencePartition partition =
-      EquivalencePartition::FromAnonymization(anonymization);
-
-  // Rows of classes smaller than k are suppression candidates.
-  std::vector<size_t> to_suppress;
-  for (ClassSpan members : partition.classes()) {
-    if (members.size() < static_cast<size_t>(k)) {
-      to_suppress.insert(to_suppress.end(), members.begin(), members.end());
-    }
-  }
-
-  NodeEvaluation evaluation{std::move(anonymization), std::move(partition), 0,
-                            false};
-  const size_t max_rows =
-      budget.MaxRows(evaluation.anonymization.row_count());
-  if (to_suppress.size() > max_rows) {
-    // Infeasible at this node; report without suppressing so callers can
-    // still inspect the raw partition.
-    return evaluation;
-  }
-  if (!to_suppress.empty()) {
-    MDC_RETURN_IF_ERROR(
-        Generalizer::SuppressRows(evaluation.anonymization, to_suppress));
-    evaluation.partition =
-        EquivalencePartition::FromAnonymization(evaluation.anonymization);
-    evaluation.suppressed_count = to_suppress.size();
-  }
-  size_t min_size = evaluation.partition.MinClassSizeExempting(
-      evaluation.anonymization.suppressed);
-  // min_size == 0 means every row is suppressed; that only satisfies k if
-  // nothing remains to protect.
-  evaluation.feasible =
-      min_size >= static_cast<size_t>(k) ||
-      evaluation.suppressed_count == evaluation.anonymization.row_count();
-  return evaluation;
-}
 
 void WriteLatticeNode(SnapshotWriter& writer, const LatticeNode& node) {
   writer.WriteI32Vec(node);

@@ -6,8 +6,9 @@
 // feasibility. Suppressed rows stay in the release fully generalized
 // (paper §3) and are exempt from the k-anonymity check. The searches do
 // this through EncodedNodeEvaluator (anonymize/encoded_eval.h); this
-// header holds the result types they share, the checkpoint contract, the
-// loss-function type and the string-path reference EvaluateNode.
+// header holds the result types they share, the checkpoint contract and
+// the loss-function type. The string-path reference evaluator the
+// encoded one is tested against lives in tests/oracle/evaluation.h.
 
 #ifndef MDC_ANONYMIZE_FULL_DOMAIN_H_
 #define MDC_ANONYMIZE_FULL_DOMAIN_H_
@@ -90,23 +91,6 @@ struct NodeEvaluation {
   size_t suppressed_count = 0;
   bool feasible = false;  // k-anonymous after within-budget suppression.
 };
-
-// Reference node evaluation on the string path: generalizes every cell
-// through its hierarchy and groups rows by their label strings. No search
-// calls it; it is the oracle EncodedNodeEvaluator is tested against (and
-// the legacy baseline of bench_encoded_eval), and it counts
-// eval.nodes_legacy.
-//
-// Applies `node` over `hierarchies`, suppresses undersized classes within
-// budget, and reports whether the result is k-anonymous (suppressed rows
-// exempt). `k` must be >= 1. A non-null `run` is charged one work-step per
-// call; an exhausted budget returns the budget Status before any work.
-StatusOr<NodeEvaluation> EvaluateNode(std::shared_ptr<const Dataset> original,
-                                      const HierarchySet& hierarchies,
-                                      const LatticeNode& node, int k,
-                                      const SuppressionBudget& budget,
-                                      std::string algorithm,
-                                      RunContext* run = nullptr);
 
 // Scores an evaluated node; lower is better. Algorithms take a LossFn so
 // callers can plug in any utility metric (e.g. Iyengar's LM from

@@ -49,7 +49,7 @@ struct OptimalSearchConfig {
   // hierarchies) pair (see EncodedBundle in encoded_eval.h). Null builds
   // them fresh; results, budgets, and deterministic counters are identical
   // either way.
-  std::shared_ptr<const EncodedBundle> encoded;
+  std::shared_ptr<const EncodedBundle> encoded = nullptr;
 };
 
 // Resumable sweep position: `next_index` points into the deterministic

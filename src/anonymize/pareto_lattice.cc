@@ -227,9 +227,8 @@ StatusOr<ParetoLatticeResult> ParetoLatticeSearch(
     scalar_points.push_back(
         {candidate.min_class_size, candidate.total_utility});
   }
-  // Packed-engine front extraction, fanned out across the same worker
-  // budget as the candidate evaluation (fronts are engine- and
-  // thread-invariant).
+  // Front extraction, fanned out across the same worker budget as the
+  // candidate evaluation (fronts are thread-invariant).
   ParetoOptions pareto_options;
   pareto_options.threads = config.threads;
   MDC_ASSIGN_OR_RETURN(result.vector_front,

@@ -31,7 +31,7 @@ struct SamaratiConfig {
   // hierarchies) pair (see EncodedBundle in encoded_eval.h). Null builds
   // them fresh; results, budgets, and deterministic counters are identical
   // either way.
-  std::shared_ptr<const EncodedBundle> encoded;
+  std::shared_ptr<const EncodedBundle> encoded = nullptr;
 };
 
 // Resumable position in the three-phase search: phase 0 verifies the

@@ -131,7 +131,7 @@ struct MetricsSnapshot {
 // attribute admission order by the perturbation backend and the
 // permutation-model builder, so they share the same invariance.
 inline constexpr const char* kDeterministicPrefixes[] = {
-    "search.", "run.", "batch.", "cmp.", "svc.", "net.", "perturb.", "perm."};
+    "search.", "run.", "cmp.", "svc.", "net.", "perturb.", "perm."};
 
 // Interns `name` (first call) and returns the process-wide instrument.
 // The same name always maps to the same instrument; a name must not be

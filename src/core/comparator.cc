@@ -129,20 +129,4 @@ std::unique_ptr<Comparator> MakeHypervolumeComparator() {
   return std::make_unique<HypervolumeComparator>();
 }
 
-std::vector<std::unique_ptr<Comparator>> StandardComparators(
-    PropertyVector d_max, bool include_hypervolume) {
-  std::vector<std::unique_ptr<Comparator>> battery;
-  battery.push_back(MakeDominanceComparator());
-  battery.push_back(MakeMinComparator());
-  if (!d_max.empty()) {
-    battery.push_back(MakeRankComparator(std::move(d_max)));
-  }
-  battery.push_back(MakeCoverageComparator());
-  battery.push_back(MakeSpreadComparator());
-  if (include_hypervolume) {
-    battery.push_back(MakeHypervolumeComparator());
-  }
-  return battery;
-}
-
 }  // namespace mdc

@@ -5,7 +5,9 @@
 // comparator of §4–§5 — dominance, min (the k-anonymity practice), rank,
 // coverage, spread, hypervolume — implements one interface, so comparative
 // studies can sweep a whole battery of comparators over the same pair of
-// anonymizations (see core/report.h).
+// anonymizations. core/report.h scores the same battery through the packed
+// kernels; the battery built from these objects is its test oracle
+// (tests/oracle/comparison.h).
 
 #ifndef MDC_CORE_COMPARATOR_H_
 #define MDC_CORE_COMPARATOR_H_
@@ -54,14 +56,6 @@ std::unique_ptr<Comparator> MakeRankComparator(PropertyVector d_max,
 std::unique_ptr<Comparator> MakeCoverageComparator();
 std::unique_ptr<Comparator> MakeSpreadComparator();
 std::unique_ptr<Comparator> MakeHypervolumeComparator();
-
-// The full §4-§5 battery. `d_max` parameterizes the rank comparator; pass
-// an empty vector to omit it. The hypervolume comparator is included only
-// when `include_hypervolume` (callers with non-positive or large vectors
-// should leave it out: the product overflows past ~1000 entries).
-std::vector<std::unique_ptr<Comparator>> StandardComparators(
-    PropertyVector d_max = PropertyVector(),
-    bool include_hypervolume = false);
 
 }  // namespace mdc
 

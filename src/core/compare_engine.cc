@@ -91,31 +91,6 @@ void EvaluateRowGroupPacked(const PropertyMatrix& matrix, size_t i,
   }
 }
 
-// The differential oracle: the same pair scored by the legacy
-// element-at-a-time code paths.
-PairComparison ComparePairScalar(const PropertySet& rows, size_t i, size_t j,
-                                 const AllPairsOptions& options) {
-  PairComparison pair;
-  pair.first = i;
-  pair.second = j;
-  const PropertyVector& d1 = rows[i];
-  const PropertyVector& d2 = rows[j];
-  pair.relation = CompareDominance(d1, d2);
-  pair.cov12 = CoverageIndex(d1, d2);
-  pair.cov21 = CoverageIndex(d2, d1);
-  pair.binary12 = StrictlyBetterCount(d1, d2);
-  pair.binary21 = StrictlyBetterCount(d2, d1);
-  pair.spr12 = SpreadIndex(d1, d2);
-  pair.spr21 = SpreadIndex(d2, d1);
-  pair.min1 = MinIndex(d1);
-  pair.min2 = MinIndex(d2);
-  if (options.include_hypervolume) {
-    pair.hv12 = HypervolumeIndex(d1, d2);
-    pair.hv21 = HypervolumeIndex(d2, d1);
-  }
-  return pair;
-}
-
 Status ValidateKinds(const PropertyMatrix& s1,
                      const std::vector<PackedBinaryIndexKind>& kinds) {
   if (kinds.size() != 1 && kinds.size() != s1.rows()) {
@@ -177,23 +152,6 @@ double PackedBinaryValue(PackedBinaryIndexKind kind, const double* a,
 }
 
 }  // namespace
-
-const char* CompareEngineName(CompareEngine engine) {
-  switch (engine) {
-    case CompareEngine::kScalar:
-      return "scalar";
-    case CompareEngine::kPacked:
-      return "packed";
-  }
-  return "unknown";
-}
-
-StatusOr<CompareEngine> ParseCompareEngine(const std::string& name) {
-  if (name == "scalar") return CompareEngine::kScalar;
-  if (name == "packed") return CompareEngine::kPacked;
-  return Status::InvalidArgument("unknown compare engine '" + name +
-                                 "' (expected scalar|packed)");
-}
 
 bool PackedWeaklyDominates(const double* d1, const double* d2, size_t n) {
   return ActiveCompareKernels().weakly_dominates(d1, d2, n);
@@ -358,21 +316,14 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
   }
   MDC_METRIC_INC("cmp.runs");
 
-  const bool packed = options.engine == CompareEngine::kPacked;
-  PropertySet scalar_rows;
+  // One min pass per row instead of two per pair: minima are unary, so
+  // this turns O(r²·N) min work into O(r·N). Unbudgeted.
   std::vector<double> row_mins;
-  if (packed) {
-    // One min pass per row instead of two per pair: minima are unary, so
-    // this turns O(r²·N) min work into O(r·N). Unbudgeted, like the
-    // scalar engine's per-pair MinIndex calls.
-    row_mins.reserve(matrix.rows());
-    const CompareKernels& kernels = ActiveCompareKernels();
-    for (size_t r = 0; r < matrix.rows(); ++r) {
-      const double* d = matrix.row(r);
-      row_mins.push_back(kernels.row_min(d, matrix.cols(), d[0]));
-    }
-  } else {
-    scalar_rows = matrix.ToSet();
+  row_mins.reserve(matrix.rows());
+  const CompareKernels& kernels = ActiveCompareKernels();
+  for (size_t r = 0; r < matrix.rows(); ++r) {
+    const double* d = matrix.row(r);
+    row_mins.push_back(kernels.row_min(d, matrix.cols(), d[0]));
   }
 
   AllPairsResult result;
@@ -385,11 +336,8 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
     result.ranks.reserve(matrix.rows());
     for (size_t r = 0; r < matrix.rows(); ++r) {
       MDC_RETURN_IF_ERROR(RunContext::Check(run));
-      double rank = packed ? PackedRankIndex(matrix.row(r), ideal,
-                                             matrix.cols(), options.rank_p)
-                           : RankIndex(scalar_rows[r], options.d_max,
-                                       options.rank_p);
-      result.ranks.push_back(rank);
+      result.ranks.push_back(PackedRankIndex(matrix.row(r), ideal,
+                                             matrix.cols(), options.rank_p));
       MDC_METRIC_INC("cmp.rank_rows");
     }
   }
@@ -404,7 +352,7 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
   result.pairs.reserve(index_of_pair.size());
 
   ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-  // Waves are sized for the grouped packed path: enough pairs that runs
+  // Waves are sized for the grouped kernel: enough pairs that runs
   // sharing a first row amortize its block loads, capped groups so one
   // long run cannot serialize a multi-threaded wave. Wave/group sizing
   // affects scheduling only — per-pair results are pure and the commit
@@ -430,32 +378,24 @@ StatusOr<AllPairsResult> AllPairsCompare(const PropertyMatrix& matrix,
     const size_t count = next - begin;
     if (count == 0) break;
     slots.assign(count, PairComparison{});
-    if (packed) {
-      // Runs of pairs sharing a first row evaluate one-vs-many.
-      groups.clear();
-      size_t s = 0;
-      while (s < count) {
-        size_t e = s + 1;
-        while (e < count && e - s < group_cap &&
-               index_of_pair[begin + e].first ==
-                   index_of_pair[begin + s].first) {
-          ++e;
-        }
-        groups.emplace_back(s, e - s);
-        s = e;
+    // Runs of pairs sharing a first row evaluate one-vs-many.
+    groups.clear();
+    for (size_t start = 0; start < count;) {
+      size_t end = start + 1;
+      while (end < count && end - start < group_cap &&
+             index_of_pair[begin + end].first ==
+                 index_of_pair[begin + start].first) {
+        ++end;
       }
-      pool.ParallelFor(groups.size(), [&](size_t g) {
-        const auto [offset, size] = groups[g];
-        EvaluateRowGroupPacked(matrix, index_of_pair[begin + offset].first,
-                               index_of_pair.data() + begin + offset, size,
-                               options, row_mins, slots.data() + offset);
-      });
-    } else {
-      pool.ParallelFor(count, [&](size_t s) {
-        const auto [i, j] = index_of_pair[begin + s];
-        slots[s] = ComparePairScalar(scalar_rows, i, j, options);
-      });
+      groups.emplace_back(start, end - start);
+      start = end;
     }
+    pool.ParallelFor(groups.size(), [&](size_t g) {
+      const auto [offset, size] = groups[g];
+      EvaluateRowGroupPacked(matrix, index_of_pair[begin + offset].first,
+                             index_of_pair.data() + begin + offset, size,
+                             options, row_mins, slots.data() + offset);
+    });
     // In-order commit: results append and counters increment in admission
     // order regardless of evaluation schedule.
     for (size_t s = 0; s < count; ++s) {

@@ -16,9 +16,10 @@
 // carried across blocks in the same index order 0..N-1 the scalar code
 // uses, and the build does not enable fast-math, so the compiler preserves
 // that order. comparison_oracle_test.cc enforces the contract
-// differentially.
+// differentially against the scalar reference in tests/oracle/, the only
+// other implementation.
 //
-// Determinism contract (same as the PR 3 searches): AllPairsCompare
+// Determinism contract (same as the lattice searches): AllPairsCompare
 // admits pairs serially in row-major (i, j) order — charging RunContext
 // steps so a budget expires at the same pair for every thread count —
 // evaluates admitted waves in parallel into per-pair slots, and commits
@@ -30,7 +31,6 @@
 #define MDC_CORE_COMPARE_ENGINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/run_context.h"
@@ -40,14 +40,6 @@
 #include "core/property_matrix.h"
 
 namespace mdc {
-
-// Which implementation services a comparison request. kScalar routes
-// through the legacy per-element code (the differential oracle); kPacked
-// uses the blocked kernels. Both produce identical results.
-enum class CompareEngine { kScalar, kPacked };
-
-const char* CompareEngineName(CompareEngine engine);
-StatusOr<CompareEngine> ParseCompareEngine(const std::string& name);
 
 // Default kernel block: 1024 doubles per row = 2 × 8 KiB resident per
 // pair, comfortably inside a 32–48 KiB L1 while long enough to amortize
@@ -116,11 +108,10 @@ void CommitComparisonMetrics(DominanceRelation relation, size_t cols);
 // All-pairs driver.
 
 struct AllPairsOptions {
-  CompareEngine engine = CompareEngine::kPacked;
   // Total comparison threads (workers + caller); <= 0 means hardware.
   int threads = 1;
   // Compute P_hv. Requires strictly positive matrix entries (clean
-  // InvalidArgument otherwise — on either engine).
+  // InvalidArgument otherwise).
   bool include_hypervolume = false;
   // Rank ideal; empty skips P_rank. Must match the matrix width.
   PropertyVector d_max;

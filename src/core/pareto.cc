@@ -6,20 +6,10 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "core/compare_engine.h"
 
 namespace mdc {
 namespace {
-
-// Strong dominance for scalar objective tuples.
-bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
-  MDC_CHECK_EQ(a.size(), b.size());
-  bool strict = false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] < b[i]) return false;
-    if (a[i] > b[i]) strict = true;
-  }
-  return strict;
-}
 
 // Set-level strong dominance through the packed kernels, on the vectors'
 // raw storage (no per-candidate repacking). Logic mirrors dominance.cc.
@@ -39,14 +29,14 @@ bool SetStronglyDominatesPacked(const PropertySet& a, const PropertySet& b) {
   return false;
 }
 
-// Shared engine-aware front extraction: `dominates(j, i)` answers "does
-// candidate j strongly dominate candidate i". Wave protocol — serial
-// admission (one budget charge per candidate), parallel per-candidate
-// domination checks, in-order commit with cmp.pareto.* counters.
+// Shared front extraction: `dominates(j, i)` answers "does candidate j
+// strongly dominate candidate i". Wave protocol — serial admission (one
+// budget charge per candidate), parallel per-candidate domination checks,
+// in-order commit with cmp.pareto.* counters.
 template <typename DominatesFn>
-StatusOr<std::vector<size_t>> FrontWithEngine(size_t count, int threads,
-                                              RunContext* run,
-                                              const DominatesFn& dominates) {
+StatusOr<std::vector<size_t>> Front(size_t count, int threads,
+                                    RunContext* run,
+                                    const DominatesFn& dominates) {
   for (size_t i = 0; i < count; ++i) {
     MDC_RETURN_IF_ERROR(RunContext::Check(run));
   }
@@ -71,37 +61,6 @@ StatusOr<std::vector<size_t>> FrontWithEngine(size_t count, int threads,
 
 }  // namespace
 
-std::vector<size_t> ParetoFront(const std::vector<PropertySet>& candidates) {
-  std::vector<size_t> front;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    bool dominated = false;
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      if (i != j && StronglyDominates(candidates[j], candidates[i])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
-}
-
-std::vector<size_t> ParetoFrontScalar(
-    const std::vector<std::vector<double>>& points) {
-  std::vector<size_t> front;
-  for (size_t i = 0; i < points.size(); ++i) {
-    bool dominated = false;
-    for (size_t j = 0; j < points.size(); ++j) {
-      if (i != j && Dominates(points[j], points[i])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) front.push_back(i);
-  }
-  return front;
-}
-
 StatusOr<std::vector<size_t>> ParetoFront(
     const std::vector<PropertySet>& candidates, const ParetoOptions& options,
     RunContext* run) {
@@ -119,12 +78,11 @@ StatusOr<std::vector<size_t>> ParetoFront(
       }
     }
   }
-  const bool packed = options.engine == CompareEngine::kPacked;
-  return FrontWithEngine(
-      candidates.size(), options.threads, run, [&](size_t j, size_t i) {
-        return packed ? SetStronglyDominatesPacked(candidates[j], candidates[i])
-                      : StronglyDominates(candidates[j], candidates[i]);
-      });
+  return Front(candidates.size(), options.threads, run,
+               [&](size_t j, size_t i) {
+                 return SetStronglyDominatesPacked(candidates[j],
+                                                   candidates[i]);
+               });
 }
 
 StatusOr<std::vector<size_t>> ParetoFrontScalar(
@@ -136,14 +94,10 @@ StatusOr<std::vector<size_t>> ParetoFrontScalar(
       return Status::InvalidArgument("inconsistent point arity");
     }
   }
-  const bool packed = options.engine == CompareEngine::kPacked;
-  return FrontWithEngine(
-      points.size(), options.threads, run, [&](size_t j, size_t i) {
-        return packed ? PackedStronglyDominates(points[j].data(),
-                                                points[i].data(),
-                                                points[i].size())
-                      : Dominates(points[j], points[i]);
-      });
+  return Front(points.size(), options.threads, run, [&](size_t j, size_t i) {
+    return PackedStronglyDominates(points[j].data(), points[i].data(),
+                                   points[i].size());
+  });
 }
 
 StatusOr<size_t> KneePoint(const std::vector<std::vector<double>>& points) {

@@ -14,36 +14,28 @@
 
 #include "common/run_context.h"
 #include "common/status.h"
-#include "core/compare_engine.h"
 #include "core/dominance.h"
 
 namespace mdc {
 
-// Indices of candidates not STRONGLY dominated (set-level, Table 4) by
-// any other candidate. Duplicate candidates all survive (none strongly
-// dominates its copy). Arities must align across candidates.
-std::vector<size_t> ParetoFront(const std::vector<PropertySet>& candidates);
-
-// Same over scalar objective tuples (higher is better in every
-// coordinate).
-std::vector<size_t> ParetoFrontScalar(
-    const std::vector<std::vector<double>>& points);
-
 struct ParetoOptions {
-  CompareEngine engine = CompareEngine::kPacked;
   // Dominance-check threads (workers + caller); <= 0 means hardware.
   int threads = 1;
 };
 
-// Engine-aware front extraction: identical fronts to the legacy
-// overloads above for every engine/thread combination (wave protocol:
-// serial admission charging `run` once per candidate, parallel dominance
-// checks, in-order commit). Returns InvalidArgument on misaligned
-// candidates instead of aborting, and the budget Status when `run`
-// expires.
+// Indices of candidates not STRONGLY dominated (set-level, Table 4) by
+// any other candidate, through the packed dominance kernels. Duplicate
+// candidates all survive (none strongly dominates its copy). Wave
+// protocol: serial admission charging `run` once per candidate, parallel
+// dominance checks, in-order commit, so the front is the same for every
+// thread count. Returns InvalidArgument on misaligned candidates and the
+// budget Status when `run` expires.
 StatusOr<std::vector<size_t>> ParetoFront(
     const std::vector<PropertySet>& candidates, const ParetoOptions& options,
     RunContext* run = nullptr);
+
+// Same over scalar objective tuples (higher is better in every
+// coordinate).
 StatusOr<std::vector<size_t>> ParetoFrontScalar(
     const std::vector<std::vector<double>>& points,
     const ParetoOptions& options, RunContext* run = nullptr);

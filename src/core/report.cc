@@ -4,6 +4,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/text_table.h"
+#include "core/compare_engine.h"
 #include "core/properties.h"
 #include "privacy/privacy_model.h"
 #include "utility/loss_metric.h"
@@ -19,22 +20,28 @@ struct NamedProperty {
 
 const PropertyVector kNoIdeal;
 
-// The packed-engine equivalent of sweeping StandardComparators(ideal,
-// /*include_hypervolume=*/false) over one property: same comparator
-// names, same order, same outcomes, from one fused kernel pass.
-std::vector<ComparatorVerdict> PackedBattery(const NamedProperty& property,
-                                             const PropertyVector& ideal) {
+struct Battery {
+  DominanceRelation relation = DominanceRelation::kEqual;
+  std::vector<ComparatorVerdict> verdicts;
+};
+
+// The §4-§5 battery over one property — dominance, min, rank (when an
+// ideal is given), coverage, spread — from one fused kernel pass. The
+// scalar reference battery lives in tests/oracle/.
+Battery PackedBattery(const NamedProperty& property,
+                      const PropertyVector& ideal) {
   const size_t n = property.first.size();
   const double* d1 = property.first.values().data();
   const double* d2 = property.second.values().data();
   PairwiseStats stats = ComputePairwiseStats(d1, d2, n, /*with_hv=*/false);
 
-  std::vector<ComparatorVerdict> verdicts;
+  Battery battery;
   auto add = [&](const char* comparator, ComparatorOutcome outcome) {
-    verdicts.push_back({property.name, comparator, outcome});
+    battery.verdicts.push_back({property.name, comparator, outcome});
   };
+  battery.relation = RelationFromStats(stats);
   ComparatorOutcome dominance = ComparatorOutcome::kIncomparable;
-  switch (RelationFromStats(stats)) {
+  switch (battery.relation) {
     case DominanceRelation::kEqual:
       dominance = ComparatorOutcome::kEquivalent;
       break;
@@ -60,7 +67,7 @@ std::vector<ComparatorVerdict> PackedBattery(const NamedProperty& property,
       OutcomeFromScalars(CoverageFromStats(stats, n, /*forward=*/true),
                          CoverageFromStats(stats, n, /*forward=*/false)));
   add("spr-better", OutcomeFromScalars(stats.spr12, stats.spr21));
-  return verdicts;
+  return battery;
 }
 
 StatusOr<PropertyVector> UtilityVector(
@@ -142,72 +149,33 @@ StatusOr<ComparisonReport> CompareAnonymizations(
                                      static_cast<double>(first.row_count())));
   }
 
-  if (options.engine == CompareEngine::kPacked) {
-    // Wave protocol across properties: admit (budget charges in property
-    // order), evaluate batteries in parallel into per-property slots,
-    // commit verdicts, counters, and the net score serially in order.
-    for (size_t i = 0; i < properties.size(); ++i) {
-      MDC_RETURN_IF_ERROR(RunContext::Check(run));
-    }
-    MDC_METRIC_INC("cmp.runs");
-    std::vector<std::vector<ComparatorVerdict>> slots(properties.size());
-    ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
-    pool.ParallelFor(properties.size(), [&](size_t i) {
-      // The rank ideal only makes sense for the class-size property.
-      const PropertyVector& ideal =
-          properties[i].name == "equivalence-class-size" ? d_max
-                                                         : kNoIdeal;
-      slots[i] = PackedBattery(properties[i], ideal);
-    });
-    for (size_t i = 0; i < properties.size(); ++i) {
-      report.properties.push_back(properties[i].name);
-      DominanceRelation relation = DominanceRelation::kIncomparable;
-      for (const ComparatorVerdict& verdict : slots[i]) {
-        if (verdict.comparator == "dominance") {
-          switch (verdict.outcome) {
-            case ComparatorOutcome::kEquivalent:
-              relation = DominanceRelation::kEqual;
-              break;
-            case ComparatorOutcome::kFirstBetter:
-              relation = DominanceRelation::kFirstDominates;
-              break;
-            case ComparatorOutcome::kSecondBetter:
-              relation = DominanceRelation::kSecondDominates;
-              break;
-            default:
-              relation = DominanceRelation::kIncomparable;
-              break;
-          }
-        }
-        if (verdict.outcome == ComparatorOutcome::kFirstBetter) {
-          ++report.net_score;
-        }
-        if (verdict.outcome == ComparatorOutcome::kSecondBetter) {
-          --report.net_score;
-        }
-        report.verdicts.push_back(verdict);
-      }
-      CommitComparisonMetrics(relation, properties[i].first.size());
-    }
-    return report;
-  }
-
-  for (const NamedProperty& property : properties) {
+  // Wave protocol across properties: admit (budget charges in property
+  // order), evaluate batteries in parallel into per-property slots,
+  // commit verdicts, counters, and the net score serially in order.
+  for (size_t i = 0; i < properties.size(); ++i) {
     MDC_RETURN_IF_ERROR(RunContext::Check(run));
-    report.properties.push_back(property.name);
+  }
+  MDC_METRIC_INC("cmp.runs");
+  std::vector<Battery> slots(properties.size());
+  ThreadPool pool(ThreadPool::ResolveThreadCount(options.threads));
+  pool.ParallelFor(properties.size(), [&](size_t i) {
     // The rank ideal only makes sense for the class-size property.
-    PropertyVector ideal =
-        property.name == "equivalence-class-size" ? d_max : PropertyVector();
-    std::vector<std::unique_ptr<Comparator>> battery =
-        StandardComparators(std::move(ideal), /*include_hypervolume=*/false);
-    for (const auto& comparator : battery) {
-      ComparatorOutcome outcome =
-          comparator->Compare(property.first, property.second);
-      if (outcome == ComparatorOutcome::kFirstBetter) ++report.net_score;
-      if (outcome == ComparatorOutcome::kSecondBetter) --report.net_score;
-      report.verdicts.push_back(
-          {property.name, comparator->Name(), outcome});
+    const PropertyVector& ideal =
+        properties[i].name == "equivalence-class-size" ? d_max : kNoIdeal;
+    slots[i] = PackedBattery(properties[i], ideal);
+  });
+  for (size_t i = 0; i < properties.size(); ++i) {
+    report.properties.push_back(properties[i].name);
+    for (const ComparatorVerdict& verdict : slots[i].verdicts) {
+      if (verdict.outcome == ComparatorOutcome::kFirstBetter) {
+        ++report.net_score;
+      }
+      if (verdict.outcome == ComparatorOutcome::kSecondBetter) {
+        --report.net_score;
+      }
+      report.verdicts.push_back(verdict);
     }
+    CommitComparisonMetrics(slots[i].relation, properties[i].first.size());
   }
   return report;
 }

@@ -18,7 +18,6 @@
 #include "common/run_context.h"
 #include "core/bias.h"
 #include "core/comparator.h"
-#include "core/compare_engine.h"
 
 namespace mdc {
 
@@ -32,11 +31,8 @@ struct ComparisonOptions {
   // Rank comparator ideal: the class-size vector of the fully-linked
   // table (all N), built automatically.
   bool include_rank = true;
-  // Which comparison engine scores the battery. Both engines produce
-  // identical verdicts (comparison_oracle_test proves it); kPacked runs
-  // the blocked single-pass kernels and can fan out across properties.
-  CompareEngine engine = CompareEngine::kPacked;
-  // Comparison threads for the packed engine; <= 0 means hardware.
+  // Comparison threads (one property's battery each); <= 0 means
+  // hardware.
   int threads = 1;
 };
 

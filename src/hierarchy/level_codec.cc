@@ -40,7 +40,8 @@ StatusOr<LevelCodeTable> BuildTable(const ValueHierarchy& hierarchy,
 }  // namespace
 
 StatusOr<LevelCodec> LevelCodec::Build(const EncodedView& view,
-                                       const HierarchySet& hierarchies) {
+                                       const HierarchySet& hierarchies,
+                                       RunContext* run) {
   if (view.position_count() != hierarchies.size() ||
       view.columns() != hierarchies.columns()) {
     return Status::InvalidArgument(
@@ -52,6 +53,7 @@ StatusOr<LevelCodec> LevelCodec::Build(const EncodedView& view,
     const ValueHierarchy& hierarchy = hierarchies.At(pos);
     codec.tables_[pos].reserve(static_cast<size_t>(hierarchy.height()) + 1);
     for (int level = 0; level <= hierarchy.height(); ++level) {
+      MDC_RETURN_IF_ERROR(RunContext::Check(run, 0));
       MDC_ASSIGN_OR_RETURN(
           LevelCodeTable table,
           BuildTable(hierarchy, view.distinct_values(pos), level));

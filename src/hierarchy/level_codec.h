@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/run_context.h"
 #include "common/status.h"
 #include "hierarchy/scheme.h"
 #include "table/encoded_view.h"
@@ -49,10 +50,12 @@ class LevelCodec {
   // Builds tables for every level of every hierarchy position over the
   // distinct values of `view`. The view must have been built over
   // `hierarchies.columns()`. Fails if any distinct value is outside its
-  // hierarchy's domain (the same values the legacy string path would fail
-  // on, just all at once).
+  // hierarchy's domain (the same values the string path would fail on,
+  // just all at once). Checks `run`'s deadline and cancellation before
+  // each (position, level) table, charging no steps.
   static StatusOr<LevelCodec> Build(const EncodedView& view,
-                                    const HierarchySet& hierarchies);
+                                    const HierarchySet& hierarchies,
+                                    RunContext* run = nullptr);
 
   size_t position_count() const { return tables_.size(); }
   int height(size_t pos) const {

@@ -12,6 +12,7 @@
 #include "common/csv.h"
 #include "common/strings.h"
 #include "common/text_table.h"
+#include "core/compare_engine.h"
 #include "core/property_matrix.h"
 #include "core/report.h"
 #include "hierarchy/spec_parser.h"
@@ -169,7 +170,7 @@ StatusOr<NamedRelease> RunAlgorithm(const std::string& algorithm,
                         result.run_stats};
   }
   if (algorithm == "samarati") {
-    SamaratiConfig config{k, budget};
+    SamaratiConfig config{.k = k, .suppression = budget};
     config.threads = threads;
     if (jc != nullptr) config.encoded = jc->EncodedOrNull();
     MDC_ASSIGN_OR_RETURN(

@@ -5,13 +5,15 @@
 namespace mdc {
 
 StatusOr<EncodedView> EncodedView::Build(const Dataset& dataset,
-                                         const std::vector<size_t>& columns) {
+                                         const std::vector<size_t>& columns,
+                                         RunContext* run) {
   EncodedView view;
   view.row_count_ = dataset.row_count();
   view.columns_ = columns;
   view.distinct_.resize(columns.size());
   view.codes_.resize(columns.size());
   for (size_t pos = 0; pos < columns.size(); ++pos) {
+    MDC_RETURN_IF_ERROR(RunContext::Check(run, 0));
     size_t column = columns[pos];
     if (column >= dataset.column_count()) {
       return Status::OutOfRange("encoded view column out of range: " +

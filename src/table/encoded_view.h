@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/run_context.h"
 #include "common/status.h"
 #include "table/dataset.h"
 
@@ -24,9 +25,11 @@ namespace mdc {
 class EncodedView {
  public:
   // Encodes `columns` of `dataset`. Positions below refer to indices into
-  // `columns` (the same convention HierarchySet uses).
+  // `columns` (the same convention HierarchySet uses). Checks `run`'s
+  // deadline and cancellation before each column, charging no steps.
   static StatusOr<EncodedView> Build(const Dataset& dataset,
-                                     const std::vector<size_t>& columns);
+                                     const std::vector<size_t>& columns,
+                                     RunContext* run = nullptr);
 
   size_t row_count() const { return row_count_; }
   size_t position_count() const { return columns_.size(); }

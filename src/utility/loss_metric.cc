@@ -42,23 +42,6 @@ std::vector<double> UtilityFromLoss(size_t qi_count,
 
 }  // namespace
 
-StatusOr<double> LossMetric::LabelLoss(const Anonymization& anonymization,
-                                       size_t column,
-                                       const std::string& label) {
-  MDC_RETURN_IF_ERROR(RequireScheme(anonymization));
-  const ValueHierarchy* hierarchy =
-      anonymization.scheme->hierarchies().ForColumn(column);
-  if (hierarchy == nullptr) {
-    return Status::InvalidArgument("column has no hierarchy in the scheme");
-  }
-  std::vector<Value> distinct = anonymization.original->DistinctValues(column);
-  size_t covered = 0;
-  for (const Value& v : distinct) {
-    if (hierarchy->Covers(label, v)) ++covered;
-  }
-  return Charge(covered, distinct.size(), label);
-}
-
 StatusOr<PropertyVector> LossMetric::PerTupleLoss(
     const Anonymization& anonymization) {
   MDC_RETURN_IF_ERROR(RequireScheme(anonymization));

@@ -18,8 +18,9 @@
 // nesting hierarchy is the set of labels with Covers(label, v). The string
 // path counts it per column of the release; the code-space overload reads
 // the same counts from the LevelCodec tables. Both use one charge formula
-// and one summation order, so they agree bit for bit. LabelLoss keeps the
-// direct Covers test over every present value as their test oracle.
+// and one summation order, so they agree bit for bit. Their test oracle,
+// the direct Covers test over every present value, lives in
+// tests/oracle/evaluation.h.
 //
 // The NCP variant needs no hierarchies: it charges a class the normalized
 // spread of the original values inside it (numeric: range ratio;
@@ -61,13 +62,6 @@ class LossMetric {
 
   // Sum of per-tuple losses.
   static StatusOr<double> TotalLoss(const Anonymization& anonymization);
-
-  // LM charge of a single label for `column` of the original data set:
-  // (covered-1)/(M-1) over distinct present values, with `covered` found by
-  // testing Covers(label, v) on every present value. The reference the
-  // counted-coverage paths are checked against; not used in production.
-  static StatusOr<double> LabelLoss(const Anonymization& anonymization,
-                                    size_t column, const std::string& label);
 };
 
 class ClassSpreadLoss {

@@ -23,6 +23,7 @@
 #include "datagen/census_generator.h"
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
 #include "table/schema.h"
@@ -70,8 +71,10 @@ TEST(BudgetTest, DataflyReturnsBudgetStatus) {
 TEST(BudgetTest, SamaratiDegradesToFeasibleHeight) {
   RunContext run;
   run.set_max_steps(3);  // Expires inside the binary search.
-  auto result = SamaratiAnonymize(Data(), Hierarchies(),
-                                  SamaratiConfig{3, {}}, ProxyLoss, &run);
+  auto result =
+      SamaratiAnonymize(Data(), Hierarchies(),
+                        SamaratiConfig{.k = 3, .suppression = {}}, ProxyLoss,
+                        &run);
   ExpectBudgetOutcome(result, "samarati");
   if (result.ok()) {
     // Whatever height it reached, the release it returns is k-anonymous.
@@ -85,8 +88,10 @@ TEST(BudgetTest, SamaratiDegradesToFeasibleHeight) {
 TEST(BudgetTest, SamaratiZeroBudgetIsCleanStatus) {
   RunContext run;
   run.set_max_steps(0);
-  auto result = SamaratiAnonymize(Data(), Hierarchies(),
-                                  SamaratiConfig{3, {}}, ProxyLoss, &run);
+  auto result =
+      SamaratiAnonymize(Data(), Hierarchies(),
+                        SamaratiConfig{.k = 3, .suppression = {}}, ProxyLoss,
+                        &run);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsBudgetError());
 }
@@ -202,7 +207,7 @@ TEST(BudgetTest, OutOfDomainValueFailsBeforeTheFirstBudgetCheck) {
       hierarchies.Bind(0, std::make_shared<TaxonomyHierarchy>(*tree)).ok());
   ASSERT_TRUE(
       hierarchies.Bind(1, std::make_shared<SuffixHierarchy>(*suffix)).ok());
-  auto string_path = EvaluateNode(data, hierarchies, {1, 1}, 2, {}, "test");
+  auto string_path = oracle::EvaluateNode(data, hierarchies, {1, 1}, 2, {}, "test");
   ASSERT_FALSE(string_path.ok());
   const std::string want = string_path.status().ToString();
 

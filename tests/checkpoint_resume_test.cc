@@ -161,7 +161,8 @@ TEST(CheckpointResumeTest, IncognitoSurvivesAChainOfInterruptions) {
 
 StatusOr<SamaratiResult> RunSamarati(RunContext* run,
                                      SamaratiCheckpoint* checkpoint) {
-  return SamaratiAnonymize(Data(), Hierarchies(), SamaratiConfig{3, {}},
+  return SamaratiAnonymize(Data(), Hierarchies(),
+                           SamaratiConfig{.k = 3, .suppression = {}},
                            ProxyLoss, run, checkpoint);
 }
 

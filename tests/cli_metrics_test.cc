@@ -48,7 +48,7 @@ std::string ReadFile(const std::string& path) {
 }
 
 bool IsDeterministicName(const std::string& name) {
-  for (const char* prefix : {"search.", "run.", "batch.", "cmp."}) {
+  for (const char* prefix : {"search.", "run.", "cmp."}) {
     if (name.rfind(prefix, 0) == 0) return true;
   }
   return false;

@@ -11,6 +11,7 @@
 #include "core/insufficiency.h"
 #include "core/multi_property.h"
 #include "core/quality_index.h"
+#include "oracle/comparison.h"
 #include "paper/paper_data.h"
 #include "privacy/t_closeness.h"
 
@@ -38,7 +39,8 @@ class ComparatorLaws : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ComparatorLaws, BetterRelationsAreAsymmetric) {
   Rng rng(GetParam());
   PropertyVector d_max("m", std::vector<double>(6, 10.0));
-  auto battery = StandardComparators(d_max, /*include_hypervolume=*/true);
+  auto battery =
+      oracle::StandardComparators(d_max, /*include_hypervolume=*/true);
   for (int trial = 0; trial < 200; ++trial) {
     PropertyVector a = RandomVector(rng, 6);
     PropertyVector b = RandomVector(rng, 6);
@@ -65,7 +67,8 @@ TEST_P(ComparatorLaws, StrongDominanceWinsEveryBetterComparator) {
   // measures are expected to have).
   Rng rng(GetParam() + 10);
   PropertyVector d_max("m", std::vector<double>(6, 12.0));
-  auto battery = StandardComparators(d_max, /*include_hypervolume=*/true);
+  auto battery =
+      oracle::StandardComparators(d_max, /*include_hypervolume=*/true);
   for (int trial = 0; trial < 200; ++trial) {
     PropertyVector b = RandomVector(rng, 6);
     std::vector<double> bumped = b.values();

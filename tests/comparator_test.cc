@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include "anonymize/datafly.h"
 #include "anonymize/equivalence.h"
+#include "anonymize/mondrian.h"
 #include "common/rng.h"
 #include "core/dominance.h"
 #include "core/quality_index.h"
 #include "core/report.h"
+#include "datagen/census_generator.h"
+#include "oracle/comparison.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -64,9 +68,9 @@ TEST(ComparatorTest, CoverageAndHypervolume) {
 }
 
 TEST(ComparatorTest, StandardBatteryComposition) {
-  EXPECT_EQ(StandardComparators().size(), 4u);  // No rank, no hv.
-  EXPECT_EQ(StandardComparators(V({1, 1})).size(), 5u);
-  EXPECT_EQ(StandardComparators(V({1, 1}), true).size(), 6u);
+  EXPECT_EQ(oracle::StandardComparators().size(), 4u);  // No rank, no hv.
+  EXPECT_EQ(oracle::StandardComparators(V({1, 1})).size(), 5u);
+  EXPECT_EQ(oracle::StandardComparators(V({1, 1}), true).size(), 6u);
 }
 
 // Randomized large-N coverage: the original tests stop at N = 15, far
@@ -135,7 +139,7 @@ TEST(ComparatorTest, FullyTiedVectorsAreEquivalentEverywhere) {
   PropertyVector b("b", values);
   PropertyVector ideal("ideal", std::vector<double>(values.size(), 10.0));
   for (const auto& comparator :
-       StandardComparators(ideal, /*include_hypervolume=*/true)) {
+       oracle::StandardComparators(ideal, /*include_hypervolume=*/true)) {
     EXPECT_EQ(comparator->Compare(a, b), ComparatorOutcome::kEquivalent)
         << comparator->Name();
   }
@@ -231,37 +235,61 @@ TEST(ReportTest, SizeMismatchRejected) {
   EXPECT_FALSE(report.ok());
 }
 
-// Differential contract at the report level: the packed engine (the
-// default) and the scalar engine must produce the identical report —
-// verdict for verdict, byte for byte — at every thread count.
-TEST(ReportTest, PackedAndScalarEnginesProduceIdenticalReports) {
-  Fixture t3a = Make(&paper::MakeT3a);
-  Fixture t3b = Make(&paper::MakeT3b);
-  ComparisonOptions scalar_options;
-  scalar_options.sensitive_column = paper::kMaritalColumn;
-  scalar_options.engine = CompareEngine::kScalar;
-  auto scalar = CompareAnonymizations(t3a.anonymization, t3a.partition,
-                                      t3b.anonymization, t3b.partition,
-                                      scalar_options);
-  ASSERT_TRUE(scalar.ok());
-  for (int threads : {1, 2, 4, 0}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ComparisonOptions packed_options = scalar_options;
-    packed_options.engine = CompareEngine::kPacked;
-    packed_options.threads = threads;
-    auto packed = CompareAnonymizations(t3a.anonymization, t3a.partition,
-                                        t3b.anonymization, t3b.partition,
-                                        packed_options);
-    ASSERT_TRUE(packed.ok());
-    EXPECT_EQ(packed->net_score, scalar->net_score);
-    ASSERT_EQ(packed->verdicts.size(), scalar->verdicts.size());
-    for (size_t i = 0; i < packed->verdicts.size(); ++i) {
-      EXPECT_EQ(packed->verdicts[i].property, scalar->verdicts[i].property);
-      EXPECT_EQ(packed->verdicts[i].comparator,
-                scalar->verdicts[i].comparator);
-      EXPECT_EQ(packed->verdicts[i].outcome, scalar->verdicts[i].outcome);
+// Differential contract at the report level: the packed battery must
+// produce the scalar reference battery's report — verdict for verdict,
+// byte for byte — at every thread count. Two pairs: the paper's T3a/T3b,
+// and a census Datafly release (LM utility) against a Mondrian one
+// (class-spread utility).
+TEST(ReportTest, PackedReportMatchesScalarReference) {
+  CensusConfig census_config;
+  census_config.rows = 200;
+  census_config.seed = 7;
+  auto census = GenerateCensus(census_config);
+  ASSERT_TRUE(census.ok());
+  auto datafly = DataflyAnonymize(census->data, census->hierarchies,
+                                  DataflyConfig{5, {0.02}});
+  ASSERT_TRUE(datafly.ok());
+  auto mondrian = MondrianAnonymize(census->data, MondrianConfig{5});
+  ASSERT_TRUE(mondrian.ok());
+
+  struct Case {
+    Fixture first;
+    Fixture second;
+    ComparisonOptions options;
+  };
+  std::vector<Case> cases;
+  cases.push_back({Make(&paper::MakeT3a), Make(&paper::MakeT3b), {}});
+  cases.back().options.sensitive_column = paper::kMaritalColumn;
+  cases.push_back({{datafly->evaluation.anonymization,
+                    datafly->evaluation.partition},
+                   {mondrian->anonymization, mondrian->partition},
+                   {}});
+  cases.back().options.sensitive_column = census->sensitive_column;
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.first.anonymization.algorithm + " vs " +
+                 c.second.anonymization.algorithm);
+    auto scalar = oracle::CompareAnonymizationsScalar(
+        c.first.anonymization, c.first.partition, c.second.anonymization,
+        c.second.partition, c.options);
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    for (int threads : {1, 2, 4, 0}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      c.options.threads = threads;
+      auto packed = CompareAnonymizations(
+          c.first.anonymization, c.first.partition, c.second.anonymization,
+          c.second.partition, c.options);
+      ASSERT_TRUE(packed.ok());
+      EXPECT_EQ(packed->net_score, scalar->net_score);
+      ASSERT_EQ(packed->verdicts.size(), scalar->verdicts.size());
+      for (size_t i = 0; i < packed->verdicts.size(); ++i) {
+        EXPECT_EQ(packed->verdicts[i].property, scalar->verdicts[i].property);
+        EXPECT_EQ(packed->verdicts[i].comparator,
+                  scalar->verdicts[i].comparator);
+        EXPECT_EQ(packed->verdicts[i].outcome, scalar->verdicts[i].outcome);
+      }
+      EXPECT_EQ(packed->ToText(), scalar->ToText());
     }
-    EXPECT_EQ(packed->ToText(), scalar->ToText());
   }
 }
 

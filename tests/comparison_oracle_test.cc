@@ -1,11 +1,12 @@
 // Differential oracle for the packed comparison engine: every dominance
 // relation and every §5 index computed by the blocked kernels must equal
-// the scalar element-at-a-time code EXACTLY (double ==, no tolerance),
-// over randomized property sets covering ties, zeros, negatives,
-// denormal-adjacent magnitudes, and lengths that are not multiples of the
-// kernel block. Also proves the engine's determinism contract: results
-// and cmp.* counters byte-identical across thread counts, including under
-// step-budget truncation, plus cancellation and cmp.read fault paths.
+// the scalar element-at-a-time reference (tests/oracle/comparison.h)
+// EXACTLY (double ==, no tolerance), over randomized property sets
+// covering ties, zeros, negatives, denormal-adjacent magnitudes, and
+// lengths that are not multiples of the kernel block. Also proves the
+// engine's determinism contract: results and cmp.* counters byte-identical
+// across thread counts, including under step-budget truncation, plus
+// cancellation and cmp.read fault paths.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "core/multi_property.h"
 #include "core/property_matrix.h"
 #include "core/quality_index.h"
+#include "oracle/comparison.h"
 
 namespace mdc {
 namespace {
@@ -140,7 +142,6 @@ TEST(ComparisonOracle, PackedMatchesScalarOnRandomizedConfigs) {
         const size_t rows = 2 + rng.NextBelow(4);  // r in [2, 5].
         PropertyMatrix matrix = RandomMatrix(rng, rows, cols, mode);
         AllPairsOptions packed;
-        packed.engine = CompareEngine::kPacked;
         const size_t block = kBlocks[rng.NextBelow(5)];
         if (block != 0) packed.block = block;
         if (rng.NextBool(0.5)) {
@@ -148,10 +149,8 @@ TEST(ComparisonOracle, PackedMatchesScalarOnRandomizedConfigs) {
           for (double& v : ideal) v = RandomValue(rng, mode);
           packed.d_max = PropertyVector("ideal", std::move(ideal));
         }
-        AllPairsOptions scalar = packed;
-        scalar.engine = CompareEngine::kScalar;
         auto packed_result = AllPairsCompare(matrix, packed);
-        auto scalar_result = AllPairsCompare(matrix, scalar);
+        auto scalar_result = oracle::AllPairsCompareScalar(matrix, packed);
         ASSERT_TRUE(packed_result.ok());
         ASSERT_TRUE(scalar_result.ok());
         ExpectIdenticalResults(
@@ -179,10 +178,8 @@ TEST(ComparisonOracle, PackedMatchesScalarWithHypervolume) {
     AllPairsOptions packed;
     packed.include_hypervolume = true;
     packed.block = 1 + rng.NextBelow(64);
-    AllPairsOptions scalar = packed;
-    scalar.engine = CompareEngine::kScalar;
     auto packed_result = AllPairsCompare(matrix, packed);
-    auto scalar_result = AllPairsCompare(matrix, scalar);
+    auto scalar_result = oracle::AllPairsCompareScalar(matrix, packed);
     ASSERT_TRUE(packed_result.ok());
     ASSERT_TRUE(scalar_result.ok());
     ExpectIdenticalResults(*packed_result, *scalar_result,
@@ -318,35 +315,29 @@ std::string ResultFingerprint(const AllPairsResult& result) {
 }
 
 // Determinism: identical results and identical cmp.* counter text for
-// every thread count, on both engines.
+// every thread count.
 TEST(ComparisonOracle, ThreadCountInvariance) {
   Rng rng(271828);
   PropertyMatrix matrix = RandomMatrix(rng, 6, 2048, ValueMode::kTieHeavy);
-  for (CompareEngine engine :
-       {CompareEngine::kPacked, CompareEngine::kScalar}) {
-    std::string reference_fingerprint;
-    std::string reference_counters;
-    for (int threads : {1, 2, 4, 0}) {
-      AllPairsOptions options;
-      options.engine = engine;
-      options.threads = threads;
-      options.d_max =
-          PropertyVector("ideal", std::vector<double>(matrix.cols(), 10.0));
-      metrics::ResetForTest();
-      auto result = AllPairsCompare(matrix, options);
-      ASSERT_TRUE(result.ok());
-      std::string fingerprint = ResultFingerprint(*result);
-      std::string counters = metrics::Snapshot().DeterministicCountersText();
-      EXPECT_NE(counters.find("cmp.pairs_compared"), std::string::npos);
-      if (threads == 1) {
-        reference_fingerprint = fingerprint;
-        reference_counters = counters;
-      } else {
-        EXPECT_EQ(fingerprint, reference_fingerprint)
-            << CompareEngineName(engine) << " threads=" << threads;
-        EXPECT_EQ(counters, reference_counters)
-            << CompareEngineName(engine) << " threads=" << threads;
-      }
+  std::string reference_fingerprint;
+  std::string reference_counters;
+  for (int threads : {1, 2, 4, 0}) {
+    AllPairsOptions options;
+    options.threads = threads;
+    options.d_max =
+        PropertyVector("ideal", std::vector<double>(matrix.cols(), 10.0));
+    metrics::ResetForTest();
+    auto result = AllPairsCompare(matrix, options);
+    ASSERT_TRUE(result.ok());
+    std::string fingerprint = ResultFingerprint(*result);
+    std::string counters = metrics::Snapshot().DeterministicCountersText();
+    EXPECT_NE(counters.find("cmp.pairs_compared"), std::string::npos);
+    if (threads == 1) {
+      reference_fingerprint = fingerprint;
+      reference_counters = counters;
+    } else {
+      EXPECT_EQ(fingerprint, reference_fingerprint) << "threads=" << threads;
+      EXPECT_EQ(counters, reference_counters) << "threads=" << threads;
     }
   }
 }
@@ -414,17 +405,16 @@ TEST(ComparisonOracle, InvalidInputsAreRejected) {
   bad_ideal.d_max = PropertyVector("ideal", {1.0, 2.0});
   EXPECT_EQ(AllPairsCompare(matrix, bad_ideal).status().code(),
             StatusCode::kInvalidArgument);
-  // Hypervolume over non-positive entries: clean error on both engines
-  // (the scalar comparator would abort; the driver validates first).
+  // Hypervolume over non-positive entries: clean error from the engine
+  // and the reference alike (the scalar comparator would abort; both
+  // validate first).
   PropertyMatrix signed_matrix = RandomMatrix(rng, 3, 16, ValueMode::kSigned);
-  for (CompareEngine engine :
-       {CompareEngine::kPacked, CompareEngine::kScalar}) {
-    AllPairsOptions hv;
-    hv.engine = engine;
-    hv.include_hypervolume = true;
-    EXPECT_EQ(AllPairsCompare(signed_matrix, hv).status().code(),
-              StatusCode::kInvalidArgument);
-  }
+  AllPairsOptions hv;
+  hv.include_hypervolume = true;
+  EXPECT_EQ(AllPairsCompare(signed_matrix, hv).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(oracle::AllPairsCompareScalar(signed_matrix, hv).status().code(),
+            StatusCode::kInvalidArgument);
   // Non-finite and misaligned inputs never reach the kernels.
   EXPECT_EQ(PropertyMatrix::FromSet({}).status().code(),
             StatusCode::kInvalidArgument);
@@ -472,7 +462,7 @@ TEST(ComparisonOracle, FromCsvRoundTripAndFaultPaths) {
 // Permutation-derived vectors through the oracle: the Def.-1 privacy and
 // utility vectors the perturbative backend emits (normalized rank
 // displacements — values in [0, 1] with heavy exact ties from repeated
-// displacement counts) must compare bit-identically on both engines.
+// displacement counts) must compare bit-identically to the reference.
 // Runs under the full MDC_SIMD_LEVEL matrix like every other oracle case.
 TEST(ComparisonOracle, PermutationDerivedVectorsMatchScalar) {
   constexpr size_t kRows[] = {17, 64, 65, 257};
@@ -504,13 +494,10 @@ TEST(ComparisonOracle, PermutationDerivedVectorsMatchScalar) {
     for (const PropertySet* set : {&privacy_set, &utility_set}) {
       auto matrix = PropertyMatrix::FromSet(*set);
       ASSERT_TRUE(matrix.ok());
-      AllPairsOptions scalar_options;
-      scalar_options.engine = CompareEngine::kScalar;
-      scalar_options.d_max =
+      AllPairsOptions packed_options;
+      packed_options.d_max =
           PropertyVector("ideal", std::vector<double>(n, 1.0));
-      AllPairsOptions packed_options = scalar_options;
-      packed_options.engine = CompareEngine::kPacked;
-      auto scalar = AllPairsCompare(*matrix, scalar_options);
+      auto scalar = oracle::AllPairsCompareScalar(*matrix, packed_options);
       auto packed = AllPairsCompare(*matrix, packed_options);
       ASSERT_TRUE(scalar.ok());
       ASSERT_TRUE(packed.ok());

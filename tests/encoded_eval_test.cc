@@ -17,6 +17,7 @@
 #include "anonymize/full_domain.h"
 #include "common/rng.h"
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -74,7 +75,7 @@ void ExpectSamePartition(const EquivalencePartition& legacy,
 }
 
 // Every node of every workload's lattice, at several (k, suppression)
-// policies: Evaluate() must reproduce EvaluateNode()'s partition,
+// policies: Evaluate() must reproduce oracle::EvaluateNode()'s partition,
 // suppression count and feasibility verdict, and Materialize() the full
 // release, cell for cell.
 TEST(EncodedEvalOracleTest, MatchesLegacyEvaluateNodeEverywhere) {
@@ -96,7 +97,7 @@ TEST(EncodedEvalOracleTest, MatchesLegacyEvaluateNodeEverywhere) {
                    " supp=" + std::to_string(policy.max_fraction));
       SuppressionBudget budget{policy.max_fraction};
       for (const LatticeNode& node : lattice->AllNodesByHeight()) {
-        auto legacy = EvaluateNode(workload.data, workload.hierarchies, node,
+        auto legacy = oracle::EvaluateNode(workload.data, workload.hierarchies, node,
                                    policy.k, budget, "test");
         ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
         auto encoded = evaluator->Evaluate(node, policy.k, budget);
@@ -166,13 +167,13 @@ TEST(EncodedEvalOracleTest, ValidationErrorsMatchLegacy) {
   for (const LatticeNode& bad :
        {LatticeNode{0}, LatticeNode{0, 0, 99}, LatticeNode{-1, 0, 0}}) {
     auto legacy =
-        EvaluateNode(*table1, *hierarchies, bad, 2, {}, "test");
+        oracle::EvaluateNode(*table1, *hierarchies, bad, 2, {}, "test");
     auto encoded = evaluator->Evaluate(bad, 2, {});
     ASSERT_FALSE(legacy.ok());
     ASSERT_FALSE(encoded.ok());
     EXPECT_EQ(legacy.status().ToString(), encoded.status().ToString());
   }
-  auto legacy_k = EvaluateNode(*table1, *hierarchies, {0, 0, 0}, 0, {}, "t");
+  auto legacy_k = oracle::EvaluateNode(*table1, *hierarchies, {0, 0, 0}, 0, {}, "t");
   auto encoded_k = evaluator->Evaluate({0, 0, 0}, 0, {});
   ASSERT_FALSE(legacy_k.ok());
   ASSERT_FALSE(encoded_k.ok());

@@ -30,6 +30,7 @@
 #include "core/property_matrix.h"
 #include "core/report.h"
 #include "hierarchy/spec_parser.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "service/service_core.h"
 #include "service/transport.h"
@@ -102,7 +103,7 @@ std::map<std::string, std::function<Status()>> Drivers() {
     return copy.AppendRow(Data()->row(0));
   };
   drivers["full_domain.evaluate"] = [] {
-    return EvaluateNode(Data(), Hierarchies(), {0, 0, 0}, 2, {}, "test")
+    return oracle::EvaluateNode(Data(), Hierarchies(), {0, 0, 0}, 2, {}, "test")
         .status();
   };
   drivers["datafly.step"] = [] {
@@ -110,7 +111,8 @@ std::map<std::string, std::function<Status()>> Drivers() {
         .status();
   };
   drivers["samarati.evaluate"] = [] {
-    return SamaratiAnonymize(Data(), Hierarchies(), SamaratiConfig{3, {}})
+    return SamaratiAnonymize(Data(), Hierarchies(),
+                             SamaratiConfig{.k = 3, .suppression = {}})
         .status();
   };
   drivers["incognito.node"] = [] {

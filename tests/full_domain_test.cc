@@ -1,10 +1,12 @@
-// Direct tests for anonymize/full_domain.h (EvaluateNode, SuppressionBudget,
-// ProxyLoss) — the shared engine under every full-domain algorithm.
+// Direct tests for anonymize/full_domain.h (SuppressionBudget, ProxyLoss)
+// and for the string-path reference node evaluator the encoded one is
+// checked against (oracle::EvaluateNode, tests/oracle/evaluation.h).
 
 #include "anonymize/full_domain.h"
 
 #include <gtest/gtest.h>
 
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -26,7 +28,7 @@ TEST(SuppressionBudgetTest, MaxRowsRounding) {
 TEST(EvaluateNodeTest, BottomNodeIsRawData) {
   auto data = paper::Table1();
   ASSERT_TRUE(data.ok());
-  auto eval = EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 1, {}, "test");
+  auto eval = oracle::EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 1, {}, "test");
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval->feasible);  // k=1 always holds.
   EXPECT_EQ(eval->suppressed_count, 0u);
@@ -39,7 +41,7 @@ TEST(EvaluateNodeTest, InfeasibleWithoutBudgetLeavesRawPartition) {
   ASSERT_TRUE(data.ok());
   // k=3 at the bottom: every class has size 1, all 10 rows undersized,
   // budget 0 -> infeasible, nothing suppressed.
-  auto eval = EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 3, {}, "test");
+  auto eval = oracle::EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 3, {}, "test");
   ASSERT_TRUE(eval.ok());
   EXPECT_FALSE(eval->feasible);
   EXPECT_EQ(eval->suppressed_count, 0u);
@@ -51,7 +53,7 @@ TEST(EvaluateNodeTest, BudgetSuppressesUndersizedClasses) {
   ASSERT_TRUE(data.ok());
   // T3a's node with k=4: classes sized 3,3,4 -> 6 rows undersized.
   SuppressionBudget budget{0.6};
-  auto eval = EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
+  auto eval = oracle::EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
                            "test");
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval->feasible);
@@ -74,7 +76,7 @@ TEST(EvaluateNodeTest, BudgetTooSmallStaysInfeasible) {
   auto data = paper::Table1();
   ASSERT_TRUE(data.ok());
   SuppressionBudget budget{0.5};  // 5 rows; we would need 6.
-  auto eval = EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
+  auto eval = oracle::EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
                            "test");
   ASSERT_TRUE(eval.ok());
   EXPECT_FALSE(eval->feasible);
@@ -84,7 +86,7 @@ TEST(EvaluateNodeTest, BudgetTooSmallStaysInfeasible) {
 TEST(EvaluateNodeTest, TopNodeOneClass) {
   auto data = paper::Table1();
   ASSERT_TRUE(data.ok());
-  auto eval = EvaluateNode(*data, Hierarchies(), {5, 3, 2}, 10, {}, "test");
+  auto eval = oracle::EvaluateNode(*data, Hierarchies(), {5, 3, 2}, 10, {}, "test");
   ASSERT_TRUE(eval.ok());
   EXPECT_TRUE(eval->feasible);
   EXPECT_EQ(eval->partition.class_count(), 1u);
@@ -93,15 +95,15 @@ TEST(EvaluateNodeTest, TopNodeOneClass) {
 TEST(EvaluateNodeTest, RejectsBadK) {
   auto data = paper::Table1();
   ASSERT_TRUE(data.ok());
-  EXPECT_FALSE(EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 0, {}, "test")
+  EXPECT_FALSE(oracle::EvaluateNode(*data, Hierarchies(), {0, 0, 0}, 0, {}, "test")
                    .ok());
 }
 
 TEST(ProxyLossTest, TracksGeneralizationAndSuppression) {
   auto data = paper::Table1();
   ASSERT_TRUE(data.ok());
-  auto low = EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 3, {}, "test");
-  auto high = EvaluateNode(*data, Hierarchies(), {2, 2, 1}, 3, {}, "test");
+  auto low = oracle::EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 3, {}, "test");
+  auto high = oracle::EvaluateNode(*data, Hierarchies(), {2, 2, 1}, 3, {}, "test");
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());
   double low_loss = ProxyLoss(low->anonymization, low->partition);
@@ -110,7 +112,7 @@ TEST(ProxyLossTest, TracksGeneralizationAndSuppression) {
   EXPECT_DOUBLE_EQ(low_loss, 3.0);
 
   SuppressionBudget budget{1.0};
-  auto suppressed = EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
+  auto suppressed = oracle::EvaluateNode(*data, Hierarchies(), {1, 1, 1}, 4, budget,
                                  "test");
   ASSERT_TRUE(suppressed.ok());
   // Same height, 6/10 suppressed: loss = 3 + 0.6.

@@ -10,6 +10,7 @@
 
 #include "anonymize/optimal_lattice.h"
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
 
@@ -23,7 +24,7 @@ std::set<LatticeNode> BruteForceAnonymousNodes(
   MDC_CHECK(lattice.ok());
   std::set<LatticeNode> nodes;
   for (const LatticeNode& node : lattice->AllNodesByHeight()) {
-    auto eval = EvaluateNode(data, hierarchies, node, k, budget, "brute");
+    auto eval = oracle::EvaluateNode(data, hierarchies, node, k, budget, "brute");
     MDC_CHECK(eval.ok());
     if (eval->feasible) nodes.insert(node);
   }

@@ -55,7 +55,7 @@ class PipelineTest : public ::testing::Test {
                           std::move(datafly->evaluation.anonymization),
                           std::move(datafly->evaluation.partition)});
 
-    SamaratiConfig samarati_config{k, budget};
+    SamaratiConfig samarati_config{.k = k, .suppression = budget};
     auto samarati = SamaratiAnonymize(census_->data, census_->hierarchies,
                                       samarati_config);
     MDC_CHECK(samarati.ok());

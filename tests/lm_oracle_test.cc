@@ -35,6 +35,8 @@
 #include "datagen/census_generator.h"
 #include "hierarchy/suffix_hierarchy.h"
 #include "hierarchy/taxonomy_hierarchy.h"
+#include "oracle/comparison.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "table/schema.h"
 #include "utility/entropy_loss.h"
@@ -64,7 +66,7 @@ class Reference {
         auto it = label_loss_.find(key);
         if (it == label_loss_.end()) {
           it = label_loss_
-                   .emplace(key, LossMetric::LabelLoss(release, column, label))
+                   .emplace(key, oracle::LabelLoss(release, column, label))
                    .first;
         }
         if (!it->second.ok()) return it->second.status();
@@ -402,7 +404,7 @@ TEST(LmOracleTest, SuppressedStarUnderNonStarRootFails) {
   auto release = evaluator->Materialize(node, *evaluation, "oracle");
   ASSERT_TRUE(release.ok());
 
-  auto oracle = LossMetric::LabelLoss(release->anonymization, 0, "*");
+  auto oracle = oracle::LabelLoss(release->anonymization, 0, "*");
   ASSERT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kInternal);
   auto string_loss = LossMetric::PerTupleLoss(release->anonymization);
@@ -482,8 +484,8 @@ TEST(LmOracleTest, ParetoSweepMatchesStringPathReference) {
     sets.push_back(candidate.properties);
     points.push_back({candidate.min_class_size, candidate.total_utility});
   }
-  const std::vector<size_t> vector_front = ParetoFront(sets);
-  const std::vector<size_t> scalar_front = ParetoFrontScalar(points);
+  const std::vector<size_t> vector_front = oracle::ParetoFront(sets);
+  const std::vector<size_t> scalar_front = oracle::ParetoFrontScalar(points);
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

@@ -165,11 +165,11 @@ TEST(MetricsTest, GaugeSetAndAdd) {
 
 TEST(MetricsTest, MergeCountersAddsToExistingTotals) {
   metrics::ResetForTest();
-  metrics::GetCounter("batch.jobs_ok").Increment(4);
-  metrics::MergeCounters({{"batch.jobs_ok", 10}, {"batch.resumes", 1}});
+  metrics::GetCounter("svc.test.jobs_ok").Increment(4);
+  metrics::MergeCounters({{"svc.test.jobs_ok", 10}, {"svc.test.resumes", 1}});
   metrics::MetricsSnapshot snap = metrics::Snapshot();
-  EXPECT_EQ(snap.counters.at("batch.jobs_ok"), 14u);
-  EXPECT_EQ(snap.counters.at("batch.resumes"), 1u);
+  EXPECT_EQ(snap.counters.at("svc.test.jobs_ok"), 14u);
+  EXPECT_EQ(snap.counters.at("svc.test.resumes"), 1u);
 }
 
 TEST(MetricsTest, ResetZeroesEverything) {
@@ -189,16 +189,19 @@ TEST(MetricsTest, DeterministicCountersTextFiltersByPrefix) {
   metrics::ResetForTest();
   metrics::GetCounter("search.test.alpha").Increment(2);
   metrics::GetCounter("run.test.beta").Increment(3);
-  metrics::GetCounter("batch.test.gamma").Increment(4);
+  metrics::GetCounter("cmp.test.gamma").Increment(4);
   metrics::GetCounter("eval.test.excluded").Increment(5);
   metrics::GetCounter("pool.test.excluded").Increment(6);
+  // The batch runner's prefix retired with it.
+  metrics::GetCounter("batch.test.retired").Increment(7);
 
   std::string text = metrics::Snapshot().DeterministicCountersText();
   EXPECT_NE(text.find("search.test.alpha=2\n"), std::string::npos);
   EXPECT_NE(text.find("run.test.beta=3\n"), std::string::npos);
-  EXPECT_NE(text.find("batch.test.gamma=4\n"), std::string::npos);
+  EXPECT_NE(text.find("cmp.test.gamma=4\n"), std::string::npos);
   EXPECT_EQ(text.find("eval.test.excluded"), std::string::npos);
   EXPECT_EQ(text.find("pool.test.excluded"), std::string::npos);
+  EXPECT_EQ(text.find("batch.test.retired"), std::string::npos);
 }
 
 TEST(MetricsTest, ToJsonContainsAllSections) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
 #include "privacy/l_diversity.h"
@@ -43,7 +44,7 @@ TEST(OptimalLatticeTest, FindsTrueOptimumOnPaperData) {
   double best_anywhere = 0.0;
   bool found = false;
   for (const LatticeNode& node : lattice->AllNodesByHeight()) {
-    auto eval = EvaluateNode(*data, *hierarchies, node, config.k,
+    auto eval = oracle::EvaluateNode(*data, *hierarchies, node, config.k,
                              config.suppression, "test");
     ASSERT_TRUE(eval.ok());
     if (!eval->feasible) continue;
@@ -70,7 +71,7 @@ TEST(OptimalLatticeTest, MinimalNodesHaveNoSatisfyingPredecessor) {
   ASSERT_TRUE(lattice.ok());
   for (const LatticeNode& node : result->minimal_nodes) {
     for (const LatticeNode& pred : lattice->Predecessors(node)) {
-      auto eval = EvaluateNode(*data, *hierarchies, pred, config.k,
+      auto eval = oracle::EvaluateNode(*data, *hierarchies, pred, config.k,
                                config.suppression, "test");
       ASSERT_TRUE(eval.ok());
       EXPECT_FALSE(eval->feasible);

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "anonymize/pareto_lattice.h"
+#include "oracle/comparison.h"
 #include "paper/paper_data.h"
 
 namespace mdc {
@@ -16,24 +17,40 @@ PropertyVector V(std::vector<double> values) {
   return PropertyVector("v", std::move(values));
 }
 
+// The production fronts, each checked against the serial reference.
+std::vector<size_t> ScalarFront(
+    const std::vector<std::vector<double>>& points) {
+  auto front = ParetoFrontScalar(points, ParetoOptions{});
+  MDC_CHECK(front.ok());
+  EXPECT_EQ(*front, oracle::ParetoFrontScalar(points));
+  return *front;
+}
+
+std::vector<size_t> SetFront(const std::vector<PropertySet>& candidates) {
+  auto front = ParetoFront(candidates, ParetoOptions{});
+  MDC_CHECK(front.ok());
+  EXPECT_EQ(*front, oracle::ParetoFront(candidates));
+  return *front;
+}
+
 TEST(ParetoFrontScalarTest, BasicFront) {
   // Points: (privacy, utility). (3,1) and (1,3) trade off; (2,2) also
   // non-dominated; (1,1) dominated by all.
   std::vector<std::vector<double>> points = {
       {3, 1}, {1, 3}, {2, 2}, {1, 1}};
-  std::vector<size_t> front = ParetoFrontScalar(points);
+  std::vector<size_t> front = ScalarFront(points);
   EXPECT_EQ(front, (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(ParetoFrontScalarTest, DuplicatesSurvive) {
   std::vector<std::vector<double>> points = {{2, 2}, {2, 2}, {1, 1}};
-  std::vector<size_t> front = ParetoFrontScalar(points);
+  std::vector<size_t> front = ScalarFront(points);
   EXPECT_EQ(front, (std::vector<size_t>{0, 1}));
 }
 
 TEST(ParetoFrontScalarTest, SinglePoint) {
-  EXPECT_EQ(ParetoFrontScalar({{5, 5}}), (std::vector<size_t>{0}));
-  EXPECT_TRUE(ParetoFrontScalar({}).empty());
+  EXPECT_EQ(ScalarFront({{5, 5}}), (std::vector<size_t>{0}));
+  EXPECT_TRUE(ScalarFront({}).empty());
 }
 
 TEST(ParetoFrontTest, SetDominanceFront) {
@@ -41,7 +58,7 @@ TEST(ParetoFrontTest, SetDominanceFront) {
   PropertySet a = {V({3, 3}), V({1, 1})};
   PropertySet b = {V({2, 2}), V({2, 2})};  // Trade-off with a.
   PropertySet c = {V({2, 2}), V({1, 1})};  // Dominated by both a-ish... by b.
-  std::vector<size_t> front = ParetoFront({a, b, c});
+  std::vector<size_t> front = SetFront({a, b, c});
   EXPECT_EQ(front, (std::vector<size_t>{0, 1}));
 }
 
@@ -50,11 +67,11 @@ TEST(ParetoFrontTest, VectorFrontRetainsScalarTies) {
   // vectors — both stay on the vector front.
   PropertySet t3a_like = {paper::ExpectedClassSizesT3a()};
   PropertySet t4_like = {paper::ExpectedClassSizesT4()};
-  std::vector<size_t> front = ParetoFront({t3a_like, t4_like});
+  std::vector<size_t> front = SetFront({t3a_like, t4_like});
   // T4 strongly dominates T3a, so only T4 stays...
   EXPECT_EQ(front, (std::vector<size_t>{1}));
   PropertySet t3b_like = {paper::ExpectedClassSizesT3b()};
-  front = ParetoFront({t3b_like, t4_like});
+  front = SetFront({t3b_like, t4_like});
   // T3b || T4: both survive.
   EXPECT_EQ(front, (std::vector<size_t>{0, 1}));
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
 #include "utility/loss_metric.h"
@@ -49,7 +50,7 @@ TEST(SamaratiTest, NoShorterHeightIsFeasible) {
   ASSERT_TRUE(lattice.ok());
   for (int h = 0; h < result->minimal_height; ++h) {
     for (const LatticeNode& node : lattice->NodesAtHeight(h)) {
-      auto eval = EvaluateNode(*data, *hierarchies, node, config.k,
+      auto eval = oracle::EvaluateNode(*data, *hierarchies, node, config.k,
                                config.suppression, "test");
       ASSERT_TRUE(eval.ok());
       EXPECT_FALSE(eval->feasible)
@@ -78,7 +79,7 @@ TEST(SamaratiTest, LossFunctionSelectsBest) {
   auto best_loss = LossMetric::TotalLoss(result->best.anonymization);
   ASSERT_TRUE(best_loss.ok());
   for (const LatticeNode& node : result->minimal_nodes) {
-    auto eval = EvaluateNode(*data, *hierarchies, node, config.k,
+    auto eval = oracle::EvaluateNode(*data, *hierarchies, node, config.k,
                              config.suppression, "test");
     ASSERT_TRUE(eval.ok());
     auto loss = LossMetric::TotalLoss(eval->anonymization);

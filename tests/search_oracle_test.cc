@@ -12,7 +12,7 @@
 //     at 1 and 4 threads;
 //   - for Samarati, Stochastic and Optimal (also resumed from a truncated
 //     checkpoint, and with verify_monotonicity), `best` equals
-//     EvaluateNode(best_node);
+//     oracle::EvaluateNode(best_node);
 //   - no search evaluates a node on the string path (eval.nodes_legacy).
 // Inputs: the 5-QI census at 60 and 300 rows on two seeds and the paper's
 // Table 1, k in {2, 5, 10}, suppression in {0, 0.02, 0.1}, under ProxyLoss
@@ -51,6 +51,7 @@
 #include "common/run_context.h"
 #include "datagen/census_generator.h"
 #include "hierarchy/level_codec.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "table/encoded_view.h"
 #include "utility/loss_metric.h"
@@ -74,7 +75,7 @@ StatusOr<DataflyResult> Datafly(std::shared_ptr<const Dataset> original,
   while (true) {
     MDC_FAILPOINT("datafly.step");
     MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                         EvaluateNode(original, hierarchies, node, config.k,
+                         oracle::EvaluateNode(original, hierarchies, node, config.k,
                                       config.suppression, "datafly", run));
     if (evaluation.feasible) {
       return DataflyResult{std::move(evaluation), node, steps,
@@ -118,7 +119,7 @@ StatusOr<GreedyWalkResult> TopDown(std::shared_ptr<const Dataset> original,
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
   LatticeNode node = lattice.Top();
   MDC_ASSIGN_OR_RETURN(NodeEvaluation current,
-                       EvaluateNode(original, hierarchies, node, config.k,
+                       oracle::EvaluateNode(original, hierarchies, node, config.k,
                                     config.suppression, "top-down", run));
   if (!current.feasible) {
     return Status::Infeasible(
@@ -134,7 +135,7 @@ StatusOr<GreedyWalkResult> TopDown(std::shared_ptr<const Dataset> original,
     double best_loss = current_loss;
     for (const LatticeNode& candidate : lattice.Predecessors(node)) {
       MDC_FAILPOINT("top_down.step");
-      auto evaluation_or = EvaluateNode(original, hierarchies, candidate,
+      auto evaluation_or = oracle::EvaluateNode(original, hierarchies, candidate,
                                         config.k, config.suppression,
                                         "top-down", run);
       if (!evaluation_or.ok()) {
@@ -178,7 +179,7 @@ StatusOr<GreedyWalkResult> BottomUp(std::shared_ptr<const Dataset> original,
   MDC_ASSIGN_OR_RETURN(Lattice lattice, Lattice::ForHierarchies(hierarchies));
   LatticeNode node = lattice.Bottom();
   MDC_ASSIGN_OR_RETURN(NodeEvaluation current,
-                       EvaluateNode(original, hierarchies, node, config.k,
+                       oracle::EvaluateNode(original, hierarchies, node, config.k,
                                     config.suppression, "bottom-up", run));
   int steps = 0;
   while (!current.feasible) {
@@ -197,7 +198,7 @@ StatusOr<GreedyWalkResult> BottomUp(std::shared_ptr<const Dataset> original,
       MDC_FAILPOINT("bottom_up.step");
       MDC_ASSIGN_OR_RETURN(
           NodeEvaluation evaluation,
-          EvaluateNode(original, hierarchies, candidate, config.k,
+          oracle::EvaluateNode(original, hierarchies, candidate, config.k,
                        config.suppression, "bottom-up", run));
       size_t undersized = 0;
       for (ClassSpan members : evaluation.partition.classes()) {
@@ -425,7 +426,7 @@ StatusOr<IncognitoResult> Incognito(std::shared_ptr<const Dataset> original,
   bool have_best = false;
   for (const LatticeNode& node : result.minimal_nodes) {
     MDC_ASSIGN_OR_RETURN(NodeEvaluation evaluation,
-                         EvaluateNode(original, hierarchies, node, config.k,
+                         oracle::EvaluateNode(original, hierarchies, node, config.k,
                                       config.suppression, "incognito"));
     MDC_CHECK(evaluation.feasible);
     double node_loss = loss(evaluation.anonymization, evaluation.partition);
@@ -584,7 +585,7 @@ void ExpectBestIsReference(const Workload& workload, int k,
                            const LatticeNode& best_node,
                            const NodeEvaluation& best, const LossFn& loss,
                            const double* best_loss) {
-  auto want = EvaluateNode(workload.data, workload.hierarchies, best_node, k,
+  auto want = oracle::EvaluateNode(workload.data, workload.hierarchies, best_node, k,
                            suppression, algorithm);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
   ExpectSameEvaluation(*want, best);
@@ -676,7 +677,7 @@ void CheckAgainstReference(const Point& p) {
   }
 
   // Searches without a string-path copy: `best` is checked against
-  // EvaluateNode(best_node). Feasibility is monotone in the lattice, so
+  // oracle::EvaluateNode(best_node). Feasibility is monotone in the lattice, so
   // all three agree on whether a release exists.
   const auto& samarati = *p.samarati;
   const auto& stochastic = *p.stochastic;

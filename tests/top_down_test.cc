@@ -6,6 +6,7 @@
 
 #include "anonymize/optimal_lattice.h"
 #include "datagen/census_generator.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "privacy/k_anonymity.h"
 #include "utility/loss_metric.h"
@@ -38,7 +39,7 @@ TEST(TopDownSpecializeTest, AchievesKAndIsMinimal) {
   auto lattice = Lattice::ForHierarchies(*hierarchies);
   ASSERT_TRUE(lattice.ok());
   for (const LatticeNode& pred : lattice->Predecessors(result->node)) {
-    auto eval = EvaluateNode(*data, *hierarchies, pred, config.k,
+    auto eval = oracle::EvaluateNode(*data, *hierarchies, pred, config.k,
                              config.suppression, "test");
     ASSERT_TRUE(eval.ok());
     double walk_loss = LmLoss()(result->evaluation.anonymization,

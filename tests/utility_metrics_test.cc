@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "anonymize/equivalence.h"
+#include "oracle/evaluation.h"
 #include "paper/paper_data.h"
 #include "utility/avg_class_size.h"
 #include "utility/discernibility.h"
@@ -34,19 +35,19 @@ Fixture Make(StatusOr<Anonymization> (*factory)()) {
 TEST(LossMetricTest, LabelLossPresentValueSemantics) {
   Fixture t3a = Make(&paper::MakeT3a);
   // "1305*" covers present zips {13052, 13053}: (2-1)/(6-1) = 0.2.
-  auto zip_loss = LossMetric::LabelLoss(t3a.anonymization, 0, "1305*");
+  auto zip_loss = oracle::LabelLoss(t3a.anonymization, 0, "1305*");
   ASSERT_TRUE(zip_loss.ok());
   EXPECT_NEAR(*zip_loss, 0.2, 1e-12);
   // "(25,35]" covers present ages {26, 28, 31}: (3-1)/(10-1).
-  auto age_loss = LossMetric::LabelLoss(t3a.anonymization, 1, "(25,35]");
+  auto age_loss = oracle::LabelLoss(t3a.anonymization, 1, "(25,35]");
   ASSERT_TRUE(age_loss.ok());
   EXPECT_NEAR(*age_loss, 2.0 / 9.0, 1e-12);
   // "Married" covers 2 of 6 present marital values: 0.2.
-  auto marital_loss = LossMetric::LabelLoss(t3a.anonymization, 2, "Married");
+  auto marital_loss = oracle::LabelLoss(t3a.anonymization, 2, "Married");
   ASSERT_TRUE(marital_loss.ok());
   EXPECT_NEAR(*marital_loss, 0.2, 1e-12);
   // "*" covers everything: loss 1.
-  auto star_loss = LossMetric::LabelLoss(t3a.anonymization, 2, "*");
+  auto star_loss = oracle::LabelLoss(t3a.anonymization, 2, "*");
   ASSERT_TRUE(star_loss.ok());
   EXPECT_NEAR(*star_loss, 1.0, 1e-12);
 }
